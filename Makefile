@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: ci build vet fmtcheck lint test race shard-equiv fabstore-equiv shard-speedup scale-smoke bench bench-smoke bench-diff examples-smoke
+.PHONY: ci build vet fmtcheck lint test race shard-equiv fabstore-equiv fuzz-smoke shard-speedup scale-smoke bench bench-smoke bench-diff examples-smoke
 
 # ci is the tier-1 gate: build, vet, the invariant lint pass, the full
 # suite under the race detector, the sharded-equivalence crown jewel
-# under -race, and a smoke run of every example binary. Run it before
+# under -race, a short fuzzing pass over the flit codec, and a smoke run
+# of every example binary. Run it before
 # every push. bench-smoke rides along non-gating (the leading `-`): a
 # crash in a benchmark prints loudly but does not fail the gate, since
 # timing noise must never block a merge.
-ci: build vet lint race shard-equiv fabstore-equiv examples-smoke
+ci: build vet lint race shard-equiv fabstore-equiv fuzz-smoke examples-smoke
 	-@$(MAKE) --no-print-directory bench-smoke || echo "bench-smoke FAILED (non-gating)"
 	-@$(MAKE) --no-print-directory shard-speedup || echo "shard-speedup FAILED (non-gating)"
 	-@$(MAKE) --no-print-directory scale-smoke || echo "scale-smoke FAILED (non-gating)"
@@ -60,6 +61,15 @@ shard-equiv:
 # race detector, like shard-equiv.
 fabstore-equiv:
 	$(GO) test -race -count=1 -run 'TestFabStoreEquiv' ./internal/exp/
+
+# fuzz-smoke fuzzes the flit byte codec for 10s per target: FuzzDecode
+# (arbitrary flit bytes never panic the decoder; rejections are sentinel
+# errors) and FuzzRoundTrip (valid packets survive Encode/Decode). Plain
+# `go test` replays the seed corpus in internal/flit/testdata/fuzz; a
+# failure found here is written there as a new regression input.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/flit/
+	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 10s ./internal/flit/
 
 # bench runs every benchmark in the tree and records the perf
 # trajectory as BENCH_<date>.json (events/sec, ns/op, allocs/op — see

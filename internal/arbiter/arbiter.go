@@ -265,7 +265,15 @@ func NewClient(ep *txn.Endpoint, arb flit.PortID) *Client {
 	return &Client{ep: ep, arb: arb}
 }
 
+// ctrl sends one control-lane request. The byte count travels in the
+// 24-bit ReqLen field, so a count above flit.MaxReqLen fails the future
+// instead of reaching the arbiter truncated.
 func (c *Client) ctrl(op flit.Op, dst flit.PortID, bytes uint64) *sim.Future[*flit.Packet] {
+	if bytes > flit.MaxReqLen {
+		f := sim.NewFuture[*flit.Packet]()
+		f.Fail(fmt.Errorf("arbiter: %v of %d bytes toward %d: %w", op, bytes, dst, flit.ErrReqLen))
+		return f
+	}
 	return c.ep.Request(&flit.Packet{
 		Chan:   flit.ChCtrl,
 		Op:     op,
@@ -276,7 +284,8 @@ func (c *Client) ctrl(op flit.Op, dst flit.PortID, bytes uint64) *sim.Future[*fl
 }
 
 // Reserve asks for bytes of bandwidth credit toward dst; the future
-// resolves when the arbiter grants (possibly after queueing).
+// resolves when the arbiter grants (possibly after queueing). A request
+// above flit.MaxReqLen bytes fails with flit.ErrReqLen.
 func (c *Client) Reserve(dst flit.PortID, bytes uint64) *sim.Future[struct{}] {
 	f := sim.NewFuture[struct{}]()
 	c.ctrl(flit.OpCtrlCreditReserve, dst, bytes).OnComplete(func(_ *flit.Packet, err error) {
@@ -289,7 +298,8 @@ func (c *Client) Reserve(dst flit.PortID, bytes uint64) *sim.Future[struct{}] {
 	return f
 }
 
-// Reclaim returns bytes of credit toward dst.
+// Reclaim returns bytes of credit toward dst. Like Reserve, it fails
+// with flit.ErrReqLen above flit.MaxReqLen bytes.
 func (c *Client) Reclaim(dst flit.PortID, bytes uint64) *sim.Future[struct{}] {
 	f := sim.NewFuture[struct{}]()
 	c.ctrl(flit.OpCtrlCreditReclaim, dst, bytes).OnComplete(func(_ *flit.Packet, err error) {

@@ -1,6 +1,7 @@
 package arbiter
 
 import (
+	"errors"
 	"testing"
 
 	"fcc/internal/fabric"
@@ -232,6 +233,43 @@ func TestArbiterOversizedReservationPanics(t *testing.T) {
 	}()
 	r.eng.After(0, func() { cl.Reserve(r.fam.ID(), 4096) })
 	r.eng.Run()
+}
+
+// TestArbiterReqLenOverflowFails: the byte count of a reservation rides
+// in the 24-bit ReqLen field. A count that does not fit used to be
+// truncated silently — Reserve(dst, 1<<24+1) reached the arbiter as a
+// 1-byte reservation, and uint32 wrapped again at 4 GiB. It must fail
+// the future instead, while the largest count that fits still arrives
+// exactly.
+func TestArbiterReqLenOverflowFails(t *testing.T) {
+	r := buildRig(t, 1<<25)
+	cl := NewClient(r.writers[0], r.arb.ID())
+	famID := r.fam.ID()
+	var errs []error
+	var held uint64
+	r.eng.Go("driver", func(p *sim.Proc) {
+		for _, n := range []uint64{1<<24 + 1, 1<<32 + 1} {
+			_, err := cl.Reserve(famID, n).Await(p)
+			errs = append(errs, err)
+			_, err = cl.Reclaim(famID, n).Await(p)
+			errs = append(errs, err)
+		}
+		cl.ReserveP(p, famID, flit.MaxReqLen)
+		held = r.arb.Outstanding(famID)
+		cl.ReclaimP(p, famID, flit.MaxReqLen)
+	})
+	r.eng.Run()
+	for i, err := range errs {
+		if !errors.Is(err, flit.ErrReqLen) {
+			t.Errorf("oversized request %d: err = %v, want flit.ErrReqLen", i, err)
+		}
+	}
+	if held != flit.MaxReqLen {
+		t.Fatalf("arbiter saw %d outstanding bytes for a MaxReqLen reservation, want %d", held, flit.MaxReqLen)
+	}
+	if got := r.arb.Outstanding(famID); got != 0 {
+		t.Fatalf("%d bytes left outstanding after the oversized requests, want 0", got)
+	}
 }
 
 func TestArbiterPerDestinationIsolation(t *testing.T) {

@@ -14,6 +14,7 @@
 package faa
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -271,12 +272,15 @@ func (d *Device) runHandler(p *sim.Proc, f *Function, mt MsgType, payload []byte
 }
 
 // Invoke calls a function on a (possibly remote) FAA from any endpoint.
+// The request carries a copy of payload: the handler owns the bytes it
+// receives and may reuse them in place (even return them as its
+// reply), while the caller stays free to reuse its own buffer.
 func Invoke(ep *txn.Endpoint, dev flit.PortID, fn uint16, mt MsgType, payload []byte) *sim.Future[[]byte] {
 	f := sim.NewFuture[[]byte]()
 	ep.Request(&flit.Packet{
 		Chan: flit.ChIO, Op: flit.OpFAAInvoke, Dst: dev,
 		Addr: encodeTarget(fn, mt),
-		Size: uint32(len(payload)), Data: payload,
+		Size: uint32(len(payload)), Data: bytes.Clone(payload),
 	}).OnComplete(func(resp *flit.Packet, err error) {
 		switch {
 		case err != nil:

@@ -1,6 +1,7 @@
 package faa
 
 import (
+	"bytes"
 	"testing"
 
 	"fcc/internal/fabric"
@@ -66,6 +67,36 @@ func TestInvokeRoundTrip(t *testing.T) {
 	eng.Run()
 	if len(got) != 3 || got[0] != 2 || got[2] != 6 {
 		t.Fatalf("got %v", got)
+	}
+}
+
+// TestInvokeHandlerOwnsItsPayload: a handler may rewrite its input in
+// place and return it. The link hands the receiver the very packet the
+// caller sent, so without the copy Invoke makes, that rewrite would
+// land in the caller's own buffer.
+func TestInvokeHandlerOwnsItsPayload(t *testing.T) {
+	eng, ep, dev, _ := rig(t, DefaultConfig())
+	dev.NewFunction(4, "inplace").On(0, func(c *HandlerCtx, in []byte) ([]byte, error) {
+		for i := range in {
+			in[i]++
+		}
+		return in, nil
+	})
+	in := []byte{1, 2, 3}
+	var got []byte
+	eng.Go("driver", func(p *sim.Proc) {
+		out, err := InvokeP(p, ep, dev.ID(), 4, 0, in)
+		if err != nil {
+			t.Errorf("invoke: %v", err)
+		}
+		got = out
+	})
+	eng.Run()
+	if !bytes.Equal(got, []byte{2, 3, 4}) {
+		t.Fatalf("reply %v, want [2 3 4]", got)
+	}
+	if !bytes.Equal(in, []byte{1, 2, 3}) {
+		t.Fatalf("caller's payload became %v: the handler wrote into the sender's buffer", in)
 	}
 }
 

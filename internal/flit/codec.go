@@ -69,23 +69,29 @@ func (m Mode) WireBytesFor(payloadBytes uint32) int {
 	return m.FlitsFor(payloadBytes) * m.WireBytes()
 }
 
-// Flit is one encoded flit as it travels the wire.
+// Flit is one flit as it travels the wire, in one of two forms. The
+// byte codec (Encode/Decode) fills Payload and CRC with the packet's
+// real wire bytes. A link moves descriptor flits instead: drawn from a
+// Pool, they carry only Seq, Last and Pkt — the packet every flit of it
+// points at — because credits, serialization time and hop latency
+// depend on flit counts and sizes, never on flit bytes.
 type Flit struct {
-	Seq     uint32 // link-level sequence number (for replay)
-	Last    bool   // final flit of its packet
-	Payload []byte // PayloadBytes() of packet bytes (zero-padded)
-	CRC     uint16 // CRC-16/CCITT over Payload
+	Seq     uint32  // link-level sequence number (for replay)
+	Last    bool    // final flit of its packet
+	Pkt     *Packet // descriptor flits: the packet this flit belongs to
+	Payload []byte  // codec flits: PayloadBytes() of packet bytes (zero-padded)
+	CRC     uint16  // codec flits: CRC-16/CCITT over Payload
 
 	// refs and next belong to the owning Pool: refs counts the holders
-	// (replay buffer, rx assembly) that must Release the flit before it
-	// recycles; next links the pool free list. While a flit sits in the
-	// free list refs holds the poolFree sentinel, so a stale holder's
-	// Release or Retain panics immediately instead of double-inserting
-	// the flit (a silent free-list cycle). home remembers the pool that
-	// minted the flit: with per-side pools on cross-shard links, a flit
-	// released into a foreign pool would corrupt both free lists. Flits
-	// built by the plain Encode path leave all three zero and are
-	// garbage-collected as before.
+	// (wire, replay buffer, rx stash) that must Release the flit before
+	// it recycles; next links the pool free list. While a flit sits in
+	// the free list refs holds the poolFree sentinel, so a stale
+	// holder's Release or Retain panics immediately instead of
+	// double-inserting the flit (a silent free-list cycle). home
+	// remembers the pool that minted the flit: with per-side pools on
+	// cross-shard links, a flit released into a foreign pool would
+	// corrupt both free lists. Flits built by Encode leave all three
+	// zero and are garbage-collected.
 	refs int32
 	next *Flit
 	home *Pool
@@ -97,11 +103,36 @@ var (
 	ErrTruncated  = errors.New("flit: truncated packet")
 	ErrBadPortID  = errors.New("flit: port ID exceeds 12 bits")
 	ErrSizeBounds = errors.New("flit: payload size out of bounds")
+	ErrReqLen     = errors.New("flit: request length exceeds 24 bits")
+	ErrDataLen    = errors.New("flit: data length != size")
 )
 
 // MaxPayload bounds a single packet's payload (a sanity limit well above
 // the 16KB bulk writes the paper's §3 experiments use).
 const MaxPayload = 1 << 20
+
+// MaxReqLen is the largest ReqLen the 24-bit header field carries.
+const MaxReqLen = 1<<24 - 1
+
+// Check reports whether p can be put on the wire: 12-bit port IDs, a
+// payload within MaxPayload, Data (when present) exactly Size bytes, and
+// a ReqLen that fits its 24 header bits. Encode and every link Send
+// apply it, so an unencodable packet fails where it is sent.
+func (p *Packet) Check() error {
+	if p.Src > MaxPortID || p.Dst > MaxPortID {
+		return ErrBadPortID
+	}
+	if p.Size > MaxPayload {
+		return ErrSizeBounds
+	}
+	if p.Data != nil && uint32(len(p.Data)) != p.Size {
+		return fmt.Errorf("%w: %d bytes, size %d", ErrDataLen, len(p.Data), p.Size)
+	}
+	if p.ReqLen > MaxReqLen {
+		return ErrReqLen
+	}
+	return nil
+}
 
 // EncodeHeader writes the packet header into buf (len >= headerSize).
 func EncodeHeader(p *Packet, buf []byte) {
@@ -147,14 +178,8 @@ func DecodeHeader(buf []byte) (*Packet, error) {
 // firstSeq. Packets with nil Data get a zero payload of p.Size bytes
 // (timing-only models); packets with Data carry it verbatim.
 func Encode(m Mode, p *Packet, firstSeq uint32) ([]*Flit, error) {
-	if p.Src > MaxPortID || p.Dst > MaxPortID {
-		return nil, ErrBadPortID
-	}
-	if p.Size > MaxPayload {
-		return nil, ErrSizeBounds
-	}
-	if p.Data != nil && uint32(len(p.Data)) != p.Size {
-		return nil, fmt.Errorf("flit: data length %d != size %d", len(p.Data), p.Size)
+	if err := p.Check(); err != nil {
+		return nil, err
 	}
 	total := headerSize + int(p.Size)
 	raw := make([]byte, total)

@@ -1,10 +1,13 @@
 // Package flit defines the wire-level vocabulary of the simulated memory
 // fabric: transaction packets, their opcodes and channels (CXL.io,
 // CXL.mem, CXL.cache, plus the dedicated control lane that FCC's central
-// arbiter uses), and the 68-byte / 256-byte flit encodings that carry
-// them, including CRC protection. Encoding is real — packets round-trip
-// through bytes — so the physical/link layers charge serialization time
-// for exactly the bits a real fabric would move.
+// arbiter uses), and the 68-byte / 256-byte flit formats that carry
+// them. Links move descriptor flits — pooled (Seq, Last, *Packet)
+// records, FlitsFor(Size) of them per packet — so the physical and link
+// layers charge serialization time and credits for exactly the flits a
+// real fabric would move without building their bytes. The byte codec
+// (Encode/Decode, with a CRC-16 per flit) is the reference for what
+// those flits would contain and is tested on its own.
 package flit
 
 import "fmt"
@@ -161,7 +164,16 @@ const MaxPortID PortID = 0xFFF
 // Packet is one fabric transaction: a request or response travelling on a
 // channel from Src to Dst. Size is the logical payload size in bytes;
 // Data optionally carries real payload bytes (models that only need
-// timing leave it nil and the codec synthesizes zeros).
+// timing leave it nil, which stands for Size zero bytes — what the
+// codec puts on the wire).
+//
+// Sending a packet transfers it, Data included. The same *Packet
+// travels hop to hop and reaches the receiver's sink, so once a packet
+// is handed to a link (Port.Send, or an Endpoint request or reply) the
+// sender must not touch it again, and Data is read-only to the sender
+// from then on: a sender that keeps writing into the buffer it sent must
+// send a copy. The receiver owns the delivered packet and its Data;
+// switches update Hops in place as they forward it.
 type Packet struct {
 	Chan Channel
 	Op   Op
@@ -174,7 +186,7 @@ type Packet struct {
 
 	// ReqLen is the number of bytes a read-style request asks for (the
 	// request itself carries no payload; the response does). 24 bits on
-	// the wire.
+	// the wire: at most MaxReqLen.
 	ReqLen uint32
 
 	// Hops counts switch traversals, filled in by the fabric for

@@ -2,50 +2,39 @@ package flit
 
 import "fmt"
 
-// Pool recycles Flit objects and their payload buffers for one link
-// direction. The simulation engine fires one event at a time, so the
-// pool is deliberately a plain free list — no sync.Pool, whose
+// Pool recycles descriptor flits for one link (or one side of a
+// cross-shard link). The simulation engine fires one event at a time,
+// so the pool is deliberately a plain free list — no sync.Pool, whose
 // scheduler-dependent reuse order would leak nondeterminism into
 // allocation patterns (and whose per-P caches defeat the engine's
-// single-threaded locality anyway).
+// single-threaded locality anyway). Only the flits are pooled: the
+// packets they point at stay garbage-collected.
 //
 // Ownership is reference-counted because one flit can be held by two
 // parties at once in retry mode: the sender's replay buffer and the
-// receiver's reassembly queue. Every holder calls Retain when it files
-// the flit and Release when it lets go; the last Release recycles the
-// flit. Code that never pools (tests, the plain Encode path) can ignore
-// refcounts entirely — Release on a flit that never came from a pool is
-// a bug and panics.
+// wire or the receiver's reorder stash. Every holder calls Retain when
+// it files the flit and Release when it lets go; the last Release
+// recycles the flit. Release on a flit that never came from a pool is a
+// bug and panics.
 type Pool struct {
-	mode Mode
-	free *Flit  // recycled flits, LIFO for cache warmth
-	raw  []byte // Encode scratch: header + payload staging
-	dec  []byte // Decode scratch: reassembled packet bytes
+	free *Flit // recycled flits, LIFO for cache warmth
 }
 
-// NewPool returns an empty pool producing flits of the given mode.
-func NewPool(m Mode) *Pool {
-	return &Pool{mode: m}
-}
+// NewPool returns an empty pool.
+func NewPool() *Pool { return &Pool{} }
 
-// Mode reports the flit mode this pool encodes for.
-func (pl *Pool) Mode() Mode { return pl.mode }
-
-// Get returns a flit with refs=1 and a payload buffer of PayloadBytes
-// capacity. The payload contents are stale; callers must overwrite (the
-// pool's Encode does).
+// Get returns a descriptor flit with refs=1, Seq 0, Last false and no
+// packet; the caller fills in Seq, Last and Pkt.
 func (pl *Pool) Get() *Flit {
 	f := pl.free
 	if f == nil {
-		f = &Flit{Payload: make([]byte, pl.mode.PayloadBytes()), home: pl}
+		f = &Flit{home: pl}
 	} else {
 		pl.free = f.next
 		f.next = nil
+		f.Seq, f.Last = 0, false
 	}
 	f.refs = 1
-	f.Seq = 0
-	f.Last = false
-	f.CRC = 0
 	return f
 }
 
@@ -71,11 +60,12 @@ func (f *Flit) Retain() {
 }
 
 // Release drops one holder; the last holder's Release returns the flit
-// to the pool. Releasing a flit that was never pooled, more times than
-// it was retained, after it has already been recycled, or into a pool
+// to the pool, dropping its packet pointer so a parked flit pins no
+// packet. Releasing a flit that was never pooled, more times than it
+// was retained, after it has already been recycled, or into a pool
 // other than the one that minted it panics — all are ownership bugs
-// that would otherwise surface as silent payload or free-list
-// corruption much later.
+// that would otherwise surface as silent free-list corruption much
+// later.
 func (pl *Pool) Release(f *Flit) {
 	if f.refs == poolFree {
 		panic(fmt.Sprintf("flit: double release of flit seq=%d (already in the pool free list)", f.Seq))
@@ -91,87 +81,7 @@ func (pl *Pool) Release(f *Flit) {
 		panic(fmt.Sprintf("flit: over-released flit seq=%d (refs=%d)", f.Seq, f.refs))
 	}
 	f.refs = poolFree
+	f.Pkt = nil
 	f.next = pl.free
 	pl.free = f
-}
-
-// Encode is the pooled counterpart of the package-level Encode: it
-// splits a packet into flits drawn from the pool (each refs=1, owned by
-// the caller) and appends them to dst, reusing the pool's staging
-// buffer. Error cases match Encode exactly.
-func (pl *Pool) Encode(p *Packet, firstSeq uint32, dst []*Flit) ([]*Flit, error) {
-	if p.Src > MaxPortID || p.Dst > MaxPortID {
-		return dst, ErrBadPortID
-	}
-	if p.Size > MaxPayload {
-		return dst, ErrSizeBounds
-	}
-	if p.Data != nil && uint32(len(p.Data)) != p.Size {
-		return dst, fmt.Errorf("flit: data length %d != size %d", len(p.Data), p.Size)
-	}
-	total := headerSize + int(p.Size)
-	if cap(pl.raw) < total {
-		pl.raw = make([]byte, total)
-	}
-	raw := pl.raw[:total]
-	EncodeHeader(p, raw[:headerSize])
-	if p.Data != nil {
-		copy(raw[headerSize:], p.Data)
-	} else {
-		clear(raw[headerSize:])
-	}
-	per := pl.mode.PayloadBytes()
-	n := pl.mode.FlitsFor(p.Size)
-	for i := 0; i < n; i++ {
-		f := pl.Get()
-		chunk := f.Payload[:per]
-		lo := i * per
-		hi := lo + per
-		if hi > total {
-			hi = total
-		}
-		copy(chunk, raw[lo:hi])
-		clear(chunk[hi-lo:]) // pooled buffer: pad bytes may be stale
-		f.Seq = firstSeq + uint32(i)
-		f.Last = i == n-1
-		f.CRC = CRC16(chunk)
-		dst = append(dst, f)
-	}
-	return dst, nil
-}
-
-// Decode is the pooled counterpart of the package-level Decode: it
-// reassembles a packet using the pool's scratch buffer instead of a
-// fresh allocation per packet. The returned Packet (and its Data) are
-// freshly allocated — they escape to the transaction layer and beyond,
-// so they cannot alias pool scratch. The input flits are NOT released;
-// the caller owns them and releases after a successful decode. Error
-// semantics match Decode exactly.
-func (pl *Pool) Decode(flits []*Flit) (*Packet, error) {
-	if len(flits) == 0 {
-		return nil, ErrTruncated
-	}
-	raw := pl.dec[:0]
-	for _, f := range flits {
-		if CRC16(f.Payload) != f.CRC {
-			return nil, ErrCRC
-		}
-		raw = append(raw, f.Payload...)
-	}
-	pl.dec = raw[:0]
-	p, err := DecodeHeader(raw)
-	if err != nil {
-		return nil, err
-	}
-	need := headerSize + int(p.Size)
-	if len(raw) < need {
-		return nil, ErrTruncated
-	}
-	if p.Size > 0 {
-		p.Data = append([]byte(nil), raw[headerSize:need]...)
-	}
-	if pl.mode.FlitsFor(p.Size) != len(flits) {
-		return nil, ErrTruncated
-	}
-	return p, nil
 }

@@ -5,84 +5,9 @@ import (
 	"testing"
 )
 
-func poolPacket(size uint32, fill byte) *Packet {
-	p := &Packet{
-		Chan: ChMem, Op: OpMemWr, Src: 3, Dst: 9, Tag: 77,
-		Addr: 0xdead0000, Size: size,
-	}
-	if size > 0 {
-		p.Data = bytes.Repeat([]byte{fill}, int(size))
-	}
-	return p
-}
-
-// TestPoolEncodeMatchesEncode: the pooled encoder must be byte-for-byte
-// identical to the allocating one, for both modes and for payload sizes
-// around every flit boundary.
-func TestPoolEncodeMatchesEncode(t *testing.T) {
-	for _, m := range []Mode{Mode68, Mode256} {
-		pl := NewPool(m)
-		for _, size := range []uint32{0, 1, 40, 63, 64, 65, 200, 248, 4096} {
-			p := poolPacket(size, byte(size))
-			want, err := Encode(m, p, 100)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := pl.Encode(p, 100, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%v size %d: %d flits, want %d", m, size, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Seq != want[i].Seq || got[i].Last != want[i].Last ||
-					got[i].CRC != want[i].CRC || !bytes.Equal(got[i].Payload, want[i].Payload) {
-					t.Fatalf("%v size %d: flit %d differs", m, size, i)
-				}
-			}
-			dec, err := pl.Decode(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dec.Size != p.Size || !bytes.Equal(dec.Data, p.Data) {
-				t.Fatalf("%v size %d: pooled decode round-trip mismatch", m, size)
-			}
-			for _, f := range got {
-				pl.Release(f)
-			}
-		}
-	}
-}
-
-// TestPoolReuseIsClean: a recycled flit carrying stale payload must not
-// bleed into the next, shorter packet (pad bytes are re-zeroed).
-func TestPoolReuseIsClean(t *testing.T) {
-	pl := NewPool(Mode68)
-	big, err := pl.Encode(poolPacket(100, 0xFF), 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range big {
-		pl.Release(f)
-	}
-	small, err := pl.Encode(poolPacket(4, 0xAA), 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := Encode(Mode68, poolPacket(4, 0xAA), 10)
-	if !bytes.Equal(small[0].Payload, want[0].Payload) {
-		t.Fatal("stale payload bytes leaked into recycled flit")
-	}
-	p, err := pl.Decode(small)
-	if err != nil || !bytes.Equal(p.Data, []byte{0xAA, 0xAA, 0xAA, 0xAA}) {
-		t.Fatalf("round-trip through recycled flits: %v %v", p, err)
-	}
-}
-
 // TestPoolRefcount: two holders, two releases; the third panics.
 func TestPoolRefcount(t *testing.T) {
-	pl := NewPool(Mode68)
+	pl := NewPool()
 	f := pl.Get()
 	f.Retain()
 	pl.Release(f)
@@ -106,49 +31,59 @@ func TestPoolRefcount(t *testing.T) {
 	pl.Release(g)
 }
 
-// TestPoolDecodeErrors: pooled decode keeps the exact error contract of
-// the allocating decoder.
-func TestPoolDecodeErrors(t *testing.T) {
-	pl := NewPool(Mode68)
-	if _, err := pl.Decode(nil); err != ErrTruncated {
-		t.Fatalf("empty: %v", err)
+// TestPoolReuseIsClean: a recycled descriptor comes back blank — no
+// stale sequence number or last flag, and no packet pointer. The free
+// list must not pin the packet of the flit's previous life either.
+func TestPoolReuseIsClean(t *testing.T) {
+	pl := NewPool()
+	f := pl.Get()
+	f.Seq, f.Last, f.Pkt = 41, true, &Packet{Chan: ChMem, Op: OpMemWr, Size: 64}
+	pl.Release(f)
+	if f.Pkt != nil {
+		t.Fatal("parked flit still pins its packet")
 	}
-	flits, _ := pl.Encode(poolPacket(100, 1), 0, nil)
-	flits[1].Corrupt(13)
-	if _, err := pl.Decode(flits); err != ErrCRC {
-		t.Fatalf("corrupt: %v", err)
+	g := pl.Get()
+	if g != f {
+		t.Fatal("expected the recycled flit back")
 	}
-	flits2, _ := pl.Encode(poolPacket(100, 1), 0, nil)
-	if _, err := pl.Decode(flits2[:1]); err != ErrTruncated {
-		t.Fatalf("missing flit: %v", err)
+	if g.Seq != 0 || g.Last || g.Pkt != nil || g.Payload != nil {
+		t.Fatalf("recycled flit not blank: seq=%d last=%v pkt=%v payload=%d bytes",
+			g.Seq, g.Last, g.Pkt, len(g.Payload))
 	}
 }
 
-// TestPoolEncodeZeroAlloc: steady-state pooled encode/decode of a
-// recycled packet allocates only the escaping Packet+Data from Decode,
-// never flits or staging buffers.
-func TestPoolEncodeZeroAlloc(t *testing.T) {
-	pl := NewPool(Mode256)
-	p := poolPacket(512, 7)
-	buf := make([]*Flit, 0, 8)
-	// Warm: size the scratch buffers and free list.
-	for i := 0; i < 4; i++ {
-		var err error
-		buf, err = pl.Encode(p, 0, buf[:0])
-		if err != nil {
-			t.Fatal(err)
+// TestPoolReleaseOfCodecFlitPanics: a flit built by Encode never came
+// from a pool; releasing it is an ownership bug.
+func TestPoolReleaseOfCodecFlitPanics(t *testing.T) {
+	flits, err := Encode(Mode68, &Packet{Chan: ChMem, Op: OpMemRd, Src: 1, Dst: 2}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPanic(t, "over-released", func() { NewPool().Release(flits[0]) })
+}
+
+// TestPoolZeroAllocSteadyState: once warm, minting descriptors for a
+// packet and releasing them allocates nothing — the flits recycle, and
+// the packet they point at is never copied.
+func TestPoolZeroAllocSteadyState(t *testing.T) {
+	pl := NewPool()
+	p := &Packet{Chan: ChIO, Op: OpIOWr, Src: 1, Dst: 2, Size: 512, Data: make([]byte, 512)}
+	n := Mode68.FlitsFor(p.Size)
+	buf := make([]*Flit, 0, n)
+	cycle := func() {
+		buf = buf[:0]
+		for i := 0; i < n; i++ {
+			f := pl.Get()
+			f.Seq, f.Last, f.Pkt = uint32(i), i == n-1, p
+			buf = append(buf, f)
 		}
 		for _, f := range buf {
 			pl.Release(f)
 		}
 	}
-	if n := testing.AllocsPerRun(200, func() {
-		buf, _ = pl.Encode(p, 0, buf[:0])
-		for _, f := range buf {
-			pl.Release(f)
-		}
-	}); n != 0 {
-		t.Fatalf("pooled encode allocates %.1f per packet, want 0", n)
+	cycle() // warm the free list
+	if a := testing.AllocsPerRun(200, cycle); a != 0 {
+		t.Fatalf("descriptor mint/release allocates %.1f per packet, want 0", a)
 	}
 }
 
@@ -169,24 +104,22 @@ func mustPanic(t *testing.T, want string, fn func()) {
 }
 
 // TestPoolDoubleReleasePanics: releasing a flit that is already sitting
-// in the free list must fail immediately and say so. Pre-fix this
-// tripped the generic over-release panic only until the next Get
-// recycled the flit — after which the stale Release double-inserted it
-// and silently cycled the free list.
+// in the free list must fail immediately and say so, not wait until the
+// next Get recycles it — after which the stale Release would
+// double-insert it and silently cycle the free list.
 func TestPoolDoubleReleasePanics(t *testing.T) {
-	pl := NewPool(Mode68)
+	pl := NewPool()
 	f := pl.Get()
 	pl.Release(f)
 	mustPanic(t, "double release", func() { pl.Release(f) })
 }
 
 // TestPoolRetainAfterFreePanics: a stale holder retaining a recycled
-// flit was a silent no-op pre-fix; its eventual Release then pushed a
-// live flit into the free list while another owner held it — exactly
-// the free-list corruption the refcount exists to prevent. It must
-// panic at the retain.
+// flit would, on its eventual Release, push a live flit into the free
+// list while another owner held it — exactly the free-list corruption
+// the refcount exists to prevent. It must panic at the retain.
 func TestPoolRetainAfterFreePanics(t *testing.T) {
-	pl := NewPool(Mode68)
+	pl := NewPool()
 	f := pl.Get()
 	pl.Release(f)
 	mustPanic(t, "use after free", func() { f.Retain() })
@@ -194,11 +127,10 @@ func TestPoolRetainAfterFreePanics(t *testing.T) {
 
 // TestPoolForeignReleasePanics: with per-side pools on cross-shard
 // links, releasing a flit into a pool that did not mint it would
-// corrupt both free lists (and can hand out wrong-sized payload
-// buffers across modes). Pre-fix this was completely silent.
+// corrupt both free lists.
 func TestPoolForeignReleasePanics(t *testing.T) {
-	a := NewPool(Mode68)
-	b := NewPool(Mode68)
+	a := NewPool()
+	b := NewPool()
 	f := a.Get()
 	mustPanic(t, "foreign pool", func() { b.Release(f) })
 }
@@ -206,7 +138,7 @@ func TestPoolForeignReleasePanics(t *testing.T) {
 // TestPoolRecycledFlitIsReusable: the poolFree sentinel must be fully
 // reversible — a recycled flit handed out again behaves like new.
 func TestPoolRecycledFlitIsReusable(t *testing.T) {
-	pl := NewPool(Mode68)
+	pl := NewPool()
 	f := pl.Get()
 	pl.Release(f)
 	g := pl.Get()

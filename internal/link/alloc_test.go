@@ -20,10 +20,10 @@ func allocRig(t *testing.T, name string) (*sim.Engine, *Link) {
 }
 
 // TestLinkSendPathZeroAlloc pins the transmit-side allocation diet: with
-// warm pools, Send (pooled encode, recycled txPacket, closure-free kick)
-// performs zero heap allocations. The engine stays idle during the
-// measurement so only the enqueue path is on the scale; the pools are
-// pre-sized to cover every packet the measurement enqueues.
+// warm pools, Send (recycled txPacket, closure-free kick) performs zero
+// heap allocations. The engine stays idle during the measurement so
+// only the enqueue path is on the scale; the pools are pre-sized to
+// cover every packet the measurement enqueues.
 func TestLinkSendPathZeroAlloc(t *testing.T) {
 	eng, l := allocRig(t, "alloc")
 	pkt := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemWr, Src: 1, Dst: 2, Size: 64}
@@ -46,13 +46,13 @@ func TestLinkSendPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestLinkDeliveryAllocCeiling bounds the receive side: delivering a
-// packet hands the sink a freshly allocated Packet (plus Data) by
-// design — those escape to the transaction layer; the credit-release
-// record is pooled — but nothing else on the wire path may allocate. The ceiling of 8
-// allocations per delivered packet catches any regression back to
-// per-flit or per-event allocation (2 flits + ~4 events per packet
-// previously cost ~10 allocations on top of the escaping ones).
+// TestLinkDeliveryAllocCeiling bounds a packet's whole trip across the
+// link: the sink receives the very packet that was sent, the flit
+// descriptors, txPacket records, wire messages and credit-release
+// records all recycle, so the only allocations left are the engine
+// growing its timing-wheel buckets as simulated time advances (0.75
+// per packet measured). The ceiling of 1 catches a regression back to
+// a per-delivery packet copy, or to per-flit or per-event allocation.
 func TestLinkDeliveryAllocCeiling(t *testing.T) {
 	eng, l := allocRig(t, "allocd")
 	pkt := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemWr, Src: 1, Dst: 2, Size: 64}
@@ -68,7 +68,8 @@ func TestLinkDeliveryAllocCeiling(t *testing.T) {
 		}
 		eng.Run()
 	})
-	if perPkt := n / 16; perPkt > 8 {
-		t.Fatalf("delivery allocates %.2f per packet end to end, want <= 8", perPkt)
+	t.Logf("delivery: %.2f allocs per packet", n/16)
+	if perPkt := n / 16; perPkt > 1 {
+		t.Fatalf("delivery allocates %.2f per packet end to end, want <= 1", perPkt)
 	}
 }

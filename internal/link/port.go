@@ -24,7 +24,7 @@ func New(eng *sim.Engine, name string, cfg Config) (*Link, error) {
 	// a time, so a plain free list is race-free, and sharing halves the
 	// warm-up footprint (a flit released by B's receiver is immediately
 	// reusable by A's transmitter).
-	pool := flit.NewPool(cfg.Mode)
+	pool := flit.NewPool()
 	l := &Link{
 		name: name,
 		a:    newPort(eng, name+".A", cfg, pool),
@@ -43,15 +43,18 @@ func (l *Link) A() *Port { return l.a }
 // B returns the second endpoint.
 func (l *Link) B() *Port { return l.b }
 
-// txPacket is a packet queued for transmission, flit by flit. Instances
-// are recycled through the port's free list; the flits slice keeps its
-// capacity across reuse so a steady-state Send performs no allocation.
+// txPacket is a packet queued for transmission, flit by flit: n
+// descriptor flits numbered from seq, of which next have gone out. The
+// transmitter mints each flit from the pool as it goes onto the wire.
+// Instances are recycled through the port's free list, so a
+// steady-state Send performs no allocation.
 type txPacket struct {
-	pkt   *flit.Packet
-	flits []*flit.Flit
-	next  int
-	enq   sim.Time
-	free  *txPacket
+	pkt  *flit.Packet
+	seq  uint32
+	n    int
+	next int
+	enq  sim.Time
+	free *txPacket
 }
 
 // linkMsg is the pooled argument block for the port's closure-free
@@ -79,7 +82,7 @@ func (p *Port) getMsg() *linkMsg {
 }
 
 // putMsg recycles a message block, dropping its flit pointer so a parked
-// free-list entry never pins a payload buffer.
+// free-list entry never pins a flit.
 func (p *Port) putMsg(m *linkMsg) {
 	m.f = nil
 	m.next = p.msgFree
@@ -196,8 +199,9 @@ type Port struct {
 	// such ties differently; see internal/sim.Coordinator).
 	stalled bool
 
-	// Receive state.
-	rxAsm    [flit.NumChannels][]*flit.Flit
+	// Receive state. rxN counts the flits of the packet being
+	// reassembled on each VC.
+	rxN      [flit.NumChannels]int
 	rxUsed   [flit.NumChannels]int
 	rxLimit  [flit.NumChannels]int
 	rxDebt   [flit.NumChannels]int
@@ -326,21 +330,25 @@ func (p *Port) RegisterStats(s *sim.Stats) {
 
 // Send enqueues a packet for transmission to the peer. The queue is
 // unbounded; callers that need backpressure bound it via TxQueueFlits.
+//
+// Send transfers the packet: the same *Packet is what the peer's sink
+// receives, so the caller must not modify it, or write into its Data,
+// afterwards (see flit.Packet). A packet the wire format cannot carry
+// (flit.Packet.Check) or larger than MaxPacketPayload panics here.
 func (p *Port) Send(pkt *flit.Packet) {
 	if pkt.Size > MaxPacketPayload {
 		panic(fmt.Sprintf("link: packet payload %d exceeds MaxPacketPayload %d (segment it at the transaction layer)",
 			pkt.Size, MaxPacketPayload))
 	}
+	if err := pkt.Check(); err != nil {
+		panic(fmt.Sprintf("link %s: unsendable packet %v: %v", p.name, pkt, err))
+	}
 	vc := pkt.Chan
 	tp := p.getTxPacket()
-	fl, err := p.pool.Encode(pkt, p.vcSeq[vc], tp.flits[:0])
-	if err != nil {
-		panic("link: encode: " + err.Error())
-	}
-	tp.pkt, tp.flits, tp.next, tp.enq = pkt, fl, 0, p.eng.Now()
-	p.vcSeq[vc] += uint32(len(fl))
+	tp.pkt, tp.seq, tp.n, tp.next, tp.enq = pkt, p.vcSeq[vc], p.cfg.Mode.FlitsFor(pkt.Size), 0, p.eng.Now()
+	p.vcSeq[vc] += uint32(tp.n)
 	p.txq[vc] = append(p.txq[vc], tp)
-	p.tracePkt(telemetry.EvPktSend, vc, fl[0].Seq, pkt)
+	p.tracePkt(telemetry.EvPktSend, vc, tp.seq, pkt)
 	p.kick()
 }
 
@@ -354,13 +362,10 @@ func (p *Port) getTxPacket() *txPacket {
 	return tp
 }
 
-// putTxPacket recycles a fully transmitted packet descriptor, clearing
-// its pointers so the free list pins neither the packet nor its flits.
+// putTxPacket recycles a fully transmitted packet record, clearing its
+// packet pointer so the free list pins no packet.
 func (p *Port) putTxPacket(tp *txPacket) {
 	tp.pkt = nil
-	clear(tp.flits)
-	tp.flits = tp.flits[:0]
-	tp.next = 0
 	tp.free = p.txpFree
 	p.txpFree = tp
 }
@@ -369,7 +374,7 @@ func (p *Port) putTxPacket(tp *txPacket) {
 func (p *Port) TxQueueFlits(vc flit.Channel) int {
 	n := len(p.retryq[vc])
 	for _, tp := range p.txq[vc][p.txqHead[vc]:] {
-		n += len(tp.flits) - tp.next
+		n += tp.n - tp.next
 	}
 	return n
 }
@@ -504,11 +509,13 @@ func (p *Port) kick() {
 	} else {
 		h := p.txqHead[vc]
 		tp := p.txq[vc][h]
-		f = tp.flits[tp.next]
+		f = p.pool.Get()
+		f.Seq, f.Pkt = tp.seq+uint32(tp.next), tp.pkt
 		p.consumeCredit(vc)
 		p.tracePkt(telemetry.EvFlitTx, vc, f.Seq, tp.pkt)
 		tp.next++
-		if tp.next == len(tp.flits) {
+		f.Last = tp.next == tp.n
+		if f.Last {
 			p.txq[vc][h] = nil
 			h++
 			p.txqHead[vc] = h
@@ -608,26 +615,27 @@ func (p *Port) receiveFlit(vc flit.Channel, f *flit.Flit) {
 	p.acceptFlit(vc, f)
 }
 
-// acceptFlit buffers an in-order flit and delivers completed packets.
+// acceptFlit takes an in-order flit into its VC's receive buffer and,
+// on a packet's last flit, delivers the packet the flits point at. The
+// flit itself is done once counted. Reassembly stays checked: the count
+// must be exactly what the packet's Size needs, so a sender that
+// resized a packet after sending it fails here, loudly.
 func (p *Port) acceptFlit(vc flit.Channel, f *flit.Flit) {
-	p.rxExpect[vc] = f.Seq + 1
+	seq, last, pkt := f.Seq, f.Last, f.Pkt
+	p.pool.Release(f)
+	p.rxExpect[vc] = seq + 1
 	p.rxUsed[vc]++
-	p.rxAsm[vc] = append(p.rxAsm[vc], f)
-	if !f.Last {
+	p.rxN[vc]++
+	if !last {
 		return
 	}
-	flits := p.rxAsm[vc]
-	p.rxAsm[vc] = flits[:0] // backing array reused for the next packet
-	pkt, err := p.pool.Decode(flits)
-	if err != nil {
-		panic(fmt.Sprintf("link %s: reassembly on %v: %v", p.name, vc, err))
+	n := p.rxN[vc]
+	p.rxN[vc] = 0
+	if want := p.cfg.Mode.FlitsFor(pkt.Size); n != want {
+		panic(fmt.Sprintf("link %s: reassembly on %v: %d flits for %v, want %d", p.name, vc, n, pkt, want))
 	}
 	p.PktsRx.Inc()
-	p.tracePkt(telemetry.EvPktDeliver, vc, flits[0].Seq, pkt)
-	n := len(flits)
-	for _, fl := range flits {
-		p.pool.Release(fl) // decode copied the payload out
-	}
+	p.tracePkt(telemetry.EvPktDeliver, vc, seq+1-uint32(n), pkt)
 	if p.sink == nil {
 		panic("link " + p.name + ": packet arrived with no sink attached")
 	}

@@ -18,8 +18,11 @@ import (
 //
 // Flit objects themselves never cross the boundary: each side owns a
 // private pool (the serial code shares one pool per link, which is only
-// safe single-threaded), so the payload is copied into the message and
-// the receiver re-materializes the flit from its own pool. Cross
+// safe single-threaded). The message carries the flit's sequence
+// number, last flag and packet pointer, and the receiver mints a fresh
+// descriptor from its own pool. The packet is shared as on a local
+// link: Send transferred it, and the coordinator's window barrier
+// orders the sender's writes before the receiver's reads. Cross
 // messages allocate — they are the price of the cut, paid only on the
 // few inter-domain links.
 
@@ -33,8 +36,8 @@ func NewCross(name string, cfg Config, engA, engB *sim.Engine, ab, ba *sim.Mailb
 	}
 	l := &Link{
 		name: name,
-		a:    newPort(engA, name+".A", cfg, flit.NewPool(cfg.Mode)),
-		b:    newPort(engB, name+".B", cfg, flit.NewPool(cfg.Mode)),
+		a:    newPort(engA, name+".A", cfg, flit.NewPool()),
+		b:    newPort(engB, name+".B", cfg, flit.NewPool()),
 	}
 	l.a.peer, l.b.peer = l.b, l.a
 	l.a.xmb, l.b.xmb = ab, ba
@@ -53,8 +56,7 @@ type xMsg struct {
 	seq  uint32
 	n    int
 	last bool
-	crc  uint16
-	data []byte
+	pkt  *flit.Packet
 }
 
 // remote queues a marshalled message to the peer's shard, delivering
@@ -66,11 +68,9 @@ func (p *Port) remote(delay sim.Time, fn func(any), m *xMsg) {
 
 // sendRemoteFlit marshals a flit across the shard boundary. The local
 // wire reference ends here (the replay buffer keeps its own when retry
-// is enabled); the peer re-materializes the flit from its pool.
+// is enabled); the peer mints its own descriptor.
 func (p *Port) sendRemoteFlit(vc flit.Channel, f *flit.Flit) {
-	m := &xMsg{vc: vc, seq: f.Seq, last: f.Last, crc: f.CRC}
-	m.data = append(m.data, f.Payload...)
-	p.remote(p.cfg.Phys.Propagation, xDeliver, m)
+	p.remote(p.cfg.Phys.Propagation, xDeliver, &xMsg{vc: vc, seq: f.Seq, last: f.Last, pkt: f.Pkt})
 	p.pool.Release(f)
 }
 
@@ -79,8 +79,7 @@ func (p *Port) sendRemoteFlit(vc flit.Channel, f *flit.Flit) {
 func xDeliver(a any) {
 	m := a.(*xMsg)
 	f := m.p.pool.Get()
-	f.Seq, f.Last, f.CRC = m.seq, m.last, m.crc
-	copy(f.Payload, m.data)
+	f.Seq, f.Last, f.Pkt = m.seq, m.last, m.pkt
 	m.p.receiveFlit(m.vc, f)
 }
 

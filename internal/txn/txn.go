@@ -314,6 +314,12 @@ func reqTimerFire(a any) {
 // a future resolving to the response. If the outstanding window is full,
 // the send waits for a tag — the future covers that wait too, exactly
 // like a full MSHR stalls a real pipeline.
+//
+// Request takes ownership of pkt (see flit.Packet): the link hands the
+// same packet to the receiver. Because Src and Tag are written in
+// place, passing one *Packet to Request again while it is still in
+// flight would rewrite the tag of the first request; send a fresh
+// packet or a Clone, as RequestRetry does.
 func (e *Endpoint) Request(pkt *flit.Packet) *sim.Future[*flit.Packet] {
 	if !pkt.Op.IsRequest() {
 		panic("txn: Request with non-request op " + pkt.Op.String())
@@ -339,6 +345,7 @@ func (e *Endpoint) send(pkt *flit.Packet, f *sim.Future[*flit.Packet]) {
 	e.pend[tag] = f
 	e.npend++
 	e.ReqsSent.Inc()
+	op, dst := pkt.Op, pkt.Dst // pkt belongs to the fabric once sent
 	e.out.Send(pkt)
 	if e.Timeout > 0 {
 		t := e.timerFree
@@ -348,7 +355,7 @@ func (e *Endpoint) send(pkt *flit.Packet, f *sim.Future[*flit.Packet]) {
 			e.timerFree = t.next
 			t.next = nil
 		}
-		t.f, t.tag, t.op, t.dst = f, tag, pkt.Op, pkt.Dst
+		t.f, t.tag, t.op, t.dst = f, tag, op, dst
 		e.eng.After2(e.Timeout, reqTimerFire, t)
 	}
 }
