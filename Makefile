@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: ci build vet fmtcheck lint test race shard-equiv fabstore-equiv fuzz-smoke shard-speedup scale-smoke bench bench-smoke bench-diff examples-smoke
+.PHONY: ci build vet fmtcheck lint test race shard-equiv fabstore-equiv perfbench-check fuzz-smoke shard-speedup scale-smoke bench bench-smoke bench-diff examples-smoke
 
 # ci is the tier-1 gate: build, vet, the invariant lint pass, the full
 # suite under the race detector, the sharded-equivalence crown jewel
-# under -race, a short fuzzing pass over the flit codec, and a smoke run
-# of every example binary. Run it before
+# under -race, a vet-and-test pass over the nested perfbench module, a
+# short fuzzing pass over the flit codec, and a smoke run of every
+# example binary. Run it before
 # every push. bench-smoke rides along non-gating (the leading `-`): a
 # crash in a benchmark prints loudly but does not fail the gate, since
 # timing noise must never block a merge.
-ci: build vet lint race shard-equiv fabstore-equiv fuzz-smoke examples-smoke
+ci: build vet lint race shard-equiv fabstore-equiv perfbench-check fuzz-smoke examples-smoke
 	-@$(MAKE) --no-print-directory bench-smoke || echo "bench-smoke FAILED (non-gating)"
 	-@$(MAKE) --no-print-directory shard-speedup || echo "shard-speedup FAILED (non-gating)"
 	-@$(MAKE) --no-print-directory scale-smoke || echo "scale-smoke FAILED (non-gating)"
@@ -61,6 +62,13 @@ shard-equiv:
 # race detector, like shard-equiv.
 fabstore-equiv:
 	$(GO) test -race -count=1 -run 'TestFabStoreEquiv' ./internal/exp/
+
+# perfbench-check vets and tests the benchmark harness. perfbench is its
+# own module, so the root `go build ./...` and `go test ./...` never
+# enter it: without this step a change to fcc's public API could break
+# the benchmark while every other gate stays green.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke fuzzes the flit byte codec for 10s per target: FuzzDecode
 # (arbitrary flit bytes never panic the decoder; rejections are sentinel

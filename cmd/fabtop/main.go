@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"fcc"
+	"fcc/internal/fabric"
 	"fcc/internal/sim"
 	"fcc/internal/telemetry"
 )
@@ -26,7 +27,8 @@ func main() {
 
 	cfg := fcc.Config{
 		Hosts: *hosts, FAMs: *fams, FAAs: *faas, FAMCapacity: 1 << 30,
-		Switches: *switches, Agents: *agents, Arbiter: *arb,
+		Topology: &fabric.TopoSpec{Kind: fabric.TopoLine, Pods: *switches},
+		Agents:   *agents, Arbiter: *arb,
 	}
 	if *trace {
 		cfg.TraceFlits = 4096

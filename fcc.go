@@ -53,45 +53,12 @@ type Config struct {
 	Arbiter bool
 	// Coherent fronts every FAM with a CC-NUMA directory.
 	Coherent bool
-	// Switches is the number of fabric switches in a line topology
-	// (hosts attach to the first, devices spread round-robin). 0 = 1.
-	Switches int
-	// Ring closes the switch line into a ring (needs ≥ 3 switches),
-	// giving every flow two equal-cost directions — the redundancy the
-	// fabric manager routes around failures with.
-	Ring bool
-	// SpreadHosts attaches hosts round-robin across switches like
-	// devices, instead of all on the first switch. With Ring this makes
-	// blast-radius experiments meaningful: each switch is one failure
-	// domain holding a known slice of hosts and devices.
-	SpreadHosts bool
-	// Pods arranges the switches into Pods equal contiguous blocks —
-	// pods of racks. Switches within a pod form a line over ordinary
-	// (short, LinkConfig) links; pod i's last switch connects to pod
-	// i+1's first switch over a long-haul PodLinkConfig link, closing a
-	// pod-level ring. Requires Switches % Pods == 0; mutually exclusive
-	// with Ring (pods bring their own ring). With Shards > 1,
-	// Pods % Shards == 0 is additionally required so shard boundaries
-	// land on pod boundaries: every cut link is then a long-haul pod
-	// link, and the coordinator's discovered per-pair lookahead equals
-	// the pod-link propagation — orders of magnitude wider than the
-	// intra-pod window, which is what makes sharded execution scale
-	// (DESIGN.md, "Parallel execution").
-	Pods int
-	// PodLinkConfig overrides the inter-pod link (nil = LinkConfig with
-	// propagation raised to 1 µs: ~200 m of fiber, cross-row optics).
-	PodLinkConfig func() link.Config
-	// Topology, when set, replaces the hand-built line/ring/pods wiring
-	// with a generated datacenter topology (fat-tree or dragonfly, see
-	// fabric.TopoSpec). Mutually exclusive with Switches/Ring/Pods.
-	// Hosts and devices attach round-robin across the edge tier
-	// (generated fabrics always spread — a 512-host cluster on one edge
-	// switch is not a topology, it is a bottleneck). The spec's nil
-	// link-config hooks default to LinkConfig. With Shards > 1 the
-	// switch sequence is cut into contiguous blocks exactly like the
-	// line topology (pods/groups are created contiguously, core tier
-	// last, so cuts land between structural units when
-	// Shards divides the unit count).
+	// Topology is the fabric shape: a line, ring, fat-tree or dragonfly
+	// (see fabric.TopoSpec). nil = one switch (a one-switch TopoLine).
+	// Hosts attach round-robin over the generated Topology.Hosts (a
+	// line's first switch, the edge tier otherwise) and devices
+	// round-robin over its Edge tier. The spec's nil link-config hooks
+	// default to LinkConfig.
 	Topology *fabric.TopoSpec
 	// Manager attaches the active fabric manager: heartbeat failure
 	// detection plus automatic PBR route-around (see fabric.Manager).
@@ -106,15 +73,19 @@ type Config struct {
 	TraceFlits int
 
 	// Shards > 1 partitions the cluster into that many failure domains
-	// (contiguous groups of switches plus their attached endpoints),
-	// each running on a private engine, synchronized conservatively by a
+	// (contiguous blocks of the generated switch sequence plus their
+	// attached endpoints; at most one shard per switch), each running
+	// on a private engine, synchronized conservatively by a
 	// sim.Coordinator with the inter-switch propagation delay as the
-	// lookahead window. Same-seed runs produce byte-identical stats
-	// snapshots to the serial (Shards <= 1) build. The centralized
-	// services — Manager, Arbiter, Coherent, Agents, TraceFlits — are
-	// single-engine designs and must stay off under sharding; use
-	// SchedulePlan for deterministic fault injection instead of
-	// NewInjector.
+	// lookahead window. Pods and groups are created contiguously, core
+	// tier last, so cuts land between them when Shards divides their
+	// count; a cut inside a pod is still correct, only its lookahead is
+	// the narrower intra-pod propagation. Same-seed runs produce
+	// byte-identical stats snapshots to the serial (Shards <= 1) build.
+	// The centralized services — Manager, Arbiter, Coherent, Agents,
+	// TraceFlits — are single-engine designs and must stay off under
+	// sharding; use SchedulePlan for deterministic fault injection
+	// instead of NewInjector.
 	Shards int
 
 	// Hooks to override component defaults (nil = defaults).
@@ -150,9 +121,8 @@ type Cluster struct {
 	// Manager is the active fabric manager (nil unless Config.Manager).
 	Manager *fabric.Manager
 
-	// Topo describes the generated topology (nil unless Config.Topology
-	// was set): tier slices and pod/group structure, e.g. for aiming a
-	// fabric.StormPlan at one pod.
+	// Topo describes the generated topology: tier slices and pod/group
+	// structure, e.g. for aiming a fabric.StormPlan at one pod.
 	Topo *fabric.Topology
 
 	// Faults is the fault injector (nil until NewInjector is called).
@@ -175,9 +145,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.FAMCapacity == 0 {
 		cfg.FAMCapacity = 1 << 30
 	}
-	if cfg.Switches < 1 {
-		cfg.Switches = 1
-	}
 
 	lcfg := link.DefaultConfig
 	if cfg.LinkConfig != nil {
@@ -195,134 +162,55 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Arbiter {
 		endpoints++
 	}
-	var topoISLs int
+	spec := fabric.TopoSpec{Kind: fabric.TopoLine}
 	if cfg.Topology != nil {
-		if cfg.Switches > 1 || cfg.Ring || cfg.Pods > 1 {
-			return nil, fmt.Errorf("fcc: Topology is mutually exclusive with Switches/Ring/Pods")
-		}
-		spec := *cfg.Topology
-		if spec.ISLConfig == nil {
-			spec.ISLConfig = lcfg
-			cfg.Topology = &spec
-		}
-		nsw, nisl, err := spec.Counts()
-		if err != nil {
-			return nil, err
-		}
-		// The generated switch count drives the shard checks and the
-		// contiguous DomainOf mapping below.
-		cfg.Switches, topoISLs = nsw, nisl
+		spec = *cfg.Topology
+	}
+	if spec.ISLConfig == nil {
+		spec.ISLConfig = lcfg
+	}
+	nsw, nisl, err := spec.Counts()
+	if err != nil {
+		return nil, err
 	}
 
 	var eng *sim.Engine
 	var b *fabric.Builder
 	var coord *sim.Coordinator
-	if cfg.Pods > 1 {
-		switch {
-		case cfg.Switches%cfg.Pods != 0:
-			return nil, fmt.Errorf("fcc: %d switches do not divide into %d pods", cfg.Switches, cfg.Pods)
-		case cfg.Ring:
-			return nil, fmt.Errorf("fcc: Ring and Pods are mutually exclusive (pods form their own ring)")
-		case cfg.Shards > 1 && cfg.Pods%cfg.Shards != 0:
-			return nil, fmt.Errorf("fcc: %d pods do not divide into %d shards (cuts must land on pod boundaries)", cfg.Pods, cfg.Shards)
-		}
-	}
 	if cfg.Shards > 1 {
 		switch {
 		case cfg.Manager, cfg.Arbiter, cfg.Coherent, cfg.Agents, cfg.TraceFlits > 0:
 			return nil, fmt.Errorf("fcc: Shards > 1 cannot host the centralized services (Manager/Arbiter/Coherent/Agents/TraceFlits)")
-		case cfg.Shards > cfg.Switches:
-			return nil, fmt.Errorf("fcc: %d shards need at least that many switches, have %d", cfg.Shards, cfg.Switches)
+		case cfg.Shards > nsw:
+			return nil, fmt.Errorf("fcc: %d shards need at least that many switches, have %d", cfg.Shards, nsw)
 		}
 		// Default lookahead = the inter-switch propagation delay: every
 		// cross-domain interaction crosses a cut ISL, so no shard can
 		// affect another sooner than one propagation in the future. This
 		// is only the floor — fabric discovery then raises each shard
 		// pair to the minimum propagation over its actual cut links
-		// (the long-haul pod links, in a pod topology) and releases
+		// (the long-haul pod links, in a ring of pods) and releases
 		// pairs with no cut link entirely.
 		coord = sim.NewCoordinator(cfg.Shards, lcfg().Phys.Propagation)
 		b = fabric.NewShardedBuilder(fabric.Sharding{
 			Coord: coord,
-			// Contiguous blocks: switch i of a line/ring lands in
-			// domain i*Shards/Switches, so only block boundaries cut.
-			DomainOf: func(i int) int { return i * cfg.Shards / cfg.Switches },
+			// Contiguous blocks: switch i lands in domain
+			// i*Shards/switches, so only block boundaries cut.
+			DomainOf: func(i int) int { return i * cfg.Shards / nsw },
 		})
 		eng = coord.Engine(0)
 	} else {
 		eng = sim.NewEngine()
 		b = fabric.NewBuilder(eng)
 	}
-	c := &Cluster{Eng: eng, Coord: coord, Builder: b, cfg: cfg}
-
-	if cfg.Topology != nil {
-		b.Reserve(cfg.Switches, topoISLs, endpoints)
-		topo, err := fabric.Generate(b, *cfg.Topology, scfg())
-		if err != nil {
-			return nil, err
-		}
-		c.Topo = topo
-		return assembleEndpoints(c, topo.Edge, topo.Edge, lcfg)
+	b.Reserve(nsw, nisl, endpoints)
+	topo, err := fabric.Generate(b, spec, scfg())
+	if err != nil {
+		return nil, err
 	}
-
-	var switches []*fabric.Switch
-	for i := 0; i < cfg.Switches; i++ {
-		switches = append(switches, b.AddSwitch(fmt.Sprintf("fs%d", i), scfg()))
-	}
-	if cfg.Pods > 1 {
-		plcfg := cfg.PodLinkConfig
-		if plcfg == nil {
-			plcfg = func() link.Config {
-				pc := lcfg()
-				if pc.Phys.Propagation < sim.Microsecond {
-					pc.Phys.Propagation = sim.Microsecond
-				}
-				return pc
-			}
-		}
-		perPod := cfg.Switches / cfg.Pods
-		for p := 0; p < cfg.Pods; p++ {
-			for i := 1; i < perPod; i++ {
-				if err := b.ConnectSwitches(switches[p*perPod+i-1], switches[p*perPod+i], lcfg()); err != nil {
-					return nil, err
-				}
-			}
-		}
-		// Pod-level ring over the long-haul links: pod p's last switch
-		// to pod p+1's first (two parallel links when Pods == 2, which
-		// ECMP routing treats as equal-cost redundancy).
-		for p := 0; p < cfg.Pods; p++ {
-			q := (p + 1) % cfg.Pods
-			if err := b.ConnectSwitches(switches[p*perPod+perPod-1], switches[q*perPod], plcfg()); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for i := 1; i < cfg.Switches; i++ {
-			if err := b.ConnectSwitches(switches[i-1], switches[i], lcfg()); err != nil {
-				return nil, err
-			}
-		}
-		if cfg.Ring && cfg.Switches >= 3 {
-			if err := b.ConnectSwitches(switches[cfg.Switches-1], switches[0], lcfg()); err != nil {
-				return nil, err
-			}
-		}
-	}
-	hostSw := switches
-	if !cfg.SpreadHosts {
-		hostSw = switches[:1]
-	}
-	return assembleEndpoints(c, hostSw, switches, lcfg)
-}
-
-// assembleEndpoints attaches hosts and devices round-robin over the
-// given switch sets, runs discovery, and starts the cluster services —
-// the construction tail shared by hand-built and generated topologies.
-func assembleEndpoints(c *Cluster, hostSw, devSw []*fabric.Switch, lcfg func() link.Config) (*Cluster, error) {
-	cfg, b, eng := c.cfg, c.Builder, c.Eng
-	devSwitch := func(i int) *fabric.Switch { return devSw[i%len(devSw)] }
-	hostSwitch := func(i int) *fabric.Switch { return hostSw[i%len(hostSw)] }
+	c := &Cluster{Eng: eng, Coord: coord, Builder: b, Topo: topo, cfg: cfg}
+	hostSwitch := func(i int) *fabric.Switch { return topo.Hosts[i%len(topo.Hosts)] }
+	devSwitch := func(i int) *fabric.Switch { return topo.Edge[i%len(topo.Edge)] }
 
 	for i := 0; i < cfg.Hosts; i++ {
 		att, err := b.AttachEndpoint(hostSwitch(i), fmt.Sprintf("host%d", i), fabric.RoleHost, lcfg())
@@ -371,7 +259,7 @@ func assembleEndpoints(c *Cluster, hostSw, devSw []*fabric.Switch, lcfg func() l
 		}
 	}
 	if cfg.Arbiter {
-		att, err := b.AttachEndpoint(devSw[0], "arbiter", fabric.RoleManager, lcfg())
+		att, err := b.AttachEndpoint(topo.Edge[0], "arbiter", fabric.RoleManager, lcfg())
 		if err != nil {
 			return nil, err
 		}

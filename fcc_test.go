@@ -6,6 +6,7 @@ import (
 
 	"fcc/internal/coherence"
 	"fcc/internal/etrans"
+	"fcc/internal/fabric"
 	"fcc/internal/flit"
 	"fcc/internal/link"
 	"fcc/internal/sim"
@@ -36,7 +37,8 @@ func TestClusterDefaults(t *testing.T) {
 func TestClusterFullStack(t *testing.T) {
 	cfg := Config{
 		Hosts: 2, FAMs: 2, FAMCapacity: 1 << 26, FAAs: 1,
-		Agents: true, Arbiter: true, Switches: 2,
+		Agents: true, Arbiter: true,
+		Topology: &fabric.TopoSpec{Kind: fabric.TopoLine, Pods: 2},
 	}
 	c, err := New(cfg)
 	if err != nil {
@@ -133,9 +135,22 @@ func TestClusterCoherent(t *testing.T) {
 	c.Run()
 }
 
-func TestClusterRejectsZeroHosts(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("zero hosts accepted")
+func TestClusterRejectsBadConfigs(t *testing.T) {
+	line2 := &fabric.TopoSpec{Kind: fabric.TopoLine, Pods: 2}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"zero-hosts", Config{}},
+		{"shards-above-switches", Config{Hosts: 1, FAMs: 1, Topology: line2, Shards: 3}},
+		{"sharded-arbiter", Config{Hosts: 1, FAMs: 1, Topology: line2, Shards: 2, Arbiter: true}},
+		{"invalid-topology", Config{Hosts: 1, FAMs: 1, Topology: &fabric.TopoSpec{Kind: fabric.TopoRing, Groups: 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := New(tc.cfg); err == nil {
+				t.Fatalf("%+v accepted", tc.cfg)
+			}
+		})
 	}
 }
 

@@ -130,7 +130,8 @@ func blastAccount(c *fcc.Cluster, issued, committed, typed []int) BlastVariant {
 func blastCluster(hosts, faas int, withMgr bool) *fcc.Cluster {
 	c, err := fcc.New(fcc.Config{
 		Hosts: hosts, FAMs: 4, FAAs: faas, FAMCapacity: 1 << 22,
-		Switches: 4, Ring: true, SpreadHosts: true, Manager: withMgr,
+		Topology: &fabric.TopoSpec{Kind: fabric.TopoRing, Groups: 4},
+		Manager:  withMgr,
 		SwitchConfig: func() fabric.SwitchConfig {
 			sc := fabric.DefaultSwitchConfig()
 			sc.Adaptive = true

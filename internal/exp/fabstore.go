@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"fcc"
+	"fcc/internal/fabric"
 	"fcc/internal/fabstore"
 	"fcc/internal/fabstore/workload"
 	"fcc/internal/fault"
@@ -80,7 +81,7 @@ func fabStoreConfig(services bool) fabstore.Config {
 func fabStoreCluster(shards int, services bool) (*fcc.Cluster, *fabstore.Store) {
 	c, err := fcc.New(fcc.Config{
 		Hosts: 8, FAMs: 4, FAMCapacity: 1 << 22,
-		Switches: 4, Ring: true, SpreadHosts: true,
+		Topology: &fabric.TopoSpec{Kind: fabric.TopoRing, Groups: 4},
 		Shards:   shards,
 		Coherent: services, Arbiter: services,
 		LinkConfig: func() link.Config {

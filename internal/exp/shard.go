@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fcc"
+	"fcc/internal/fabric"
 	"fcc/internal/fault"
 	"fcc/internal/flit"
 	"fcc/internal/link"
@@ -27,8 +28,8 @@ type ShardConfig struct {
 	// the coordinator's lookahead window, so longer wires mean fewer
 	// barriers per simulated second.
 	ISLPropagation sim.Time
-	// Pods, when > 1, builds the multi-pod topology instead of the flat
-	// ring: Switches/Pods-switch pods with short ISLPropagation wires
+	// Pods, when > 1, builds a ring of pods instead of the flat ring:
+	// Switches/Pods-switch pods with short ISLPropagation wires
 	// inside, joined into a pod-level ring by long-haul PodPropagation
 	// links. Shard cuts land on pod boundaries, so the discovered
 	// lookahead between adjacent shards is PodPropagation — the wide
@@ -86,29 +87,26 @@ func ShardScaleConfig() ShardConfig {
 // classic serial cluster; the topology, seeds, and every device config
 // are identical either way — only the engine partitioning differs.
 func shardCluster(cfg ShardConfig, shards int) *fcc.Cluster {
-	fcfg := fcc.Config{
-		Hosts: cfg.Hosts, FAMs: cfg.FAMs, FAMCapacity: 1 << 22,
-		Switches: cfg.Switches, Ring: cfg.Pods <= 1, SpreadHosts: true,
-		Shards: shards,
-		Pods:   cfg.Pods,
-		LinkConfig: func() link.Config {
+	wire := func(prop sim.Time) func() link.Config {
+		return func() link.Config {
 			lc := link.DefaultConfig()
 			p := lc.Phys
-			p.Propagation = cfg.ISLPropagation
-			lc.Phys = p
-			return lc
-		},
-	}
-	if cfg.Pods > 1 {
-		fcfg.PodLinkConfig = func() link.Config {
-			lc := fcfg.LinkConfig()
-			p := lc.Phys
-			p.Propagation = cfg.PodPropagation
+			p.Propagation = prop
 			lc.Phys = p
 			return lc
 		}
 	}
-	c, err := fcc.New(fcfg)
+	spec := &fabric.TopoSpec{Kind: fabric.TopoRing, Groups: cfg.Switches}
+	if cfg.Pods > 1 {
+		spec.Groups, spec.Pods = cfg.Pods, cfg.Switches/cfg.Pods
+		spec.LongHaulConfig = wire(cfg.PodPropagation)
+	}
+	c, err := fcc.New(fcc.Config{
+		Hosts: cfg.Hosts, FAMs: cfg.FAMs, FAMCapacity: 1 << 22,
+		Topology:   spec,
+		Shards:     shards,
+		LinkConfig: wire(cfg.ISLPropagation),
+	})
 	if err != nil {
 		panic(err)
 	}

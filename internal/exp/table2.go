@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"fcc"
+	"fcc/internal/fabric"
 	"fcc/internal/fabricinfo"
 	"fcc/internal/sim"
 )
@@ -23,7 +24,8 @@ func Table1() string { return fabricinfo.Render() }
 func Figure1() string {
 	c, err := fcc.New(fcc.Config{
 		Hosts: 2, FAMs: 2, FAMCapacity: 1 << 30, FAAs: 1,
-		Agents: true, Arbiter: true, Switches: 2,
+		Agents: true, Arbiter: true,
+		Topology: &fabric.TopoSpec{Kind: fabric.TopoLine, Pods: 2},
 	})
 	if err != nil {
 		panic(err)

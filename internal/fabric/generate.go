@@ -17,6 +17,13 @@ const (
 	// TopoDragonfly is a two-level direct network: fully-meshed router
 	// groups joined by one global link per group pair (diameter ≤ 3).
 	TopoDragonfly
+	// TopoLine is Pods switches in a line with every host on the first
+	// switch — the Table 2 / Figure 1b rack.
+	TopoLine
+	// TopoRing is Groups pods of Pods switches, each pod a line, pod g's
+	// last switch linked to pod g+1's first: with Pods == 1 a plain
+	// switch ring, otherwise a ring of racks over long-haul links.
+	TopoRing
 )
 
 // String names the topology kind.
@@ -26,6 +33,10 @@ func (k TopoKind) String() string {
 		return "fat-tree"
 	case TopoDragonfly:
 		return "dragonfly"
+	case TopoLine:
+		return "line"
+	case TopoRing:
+		return "ring"
 	default:
 		return fmt.Sprintf("TopoKind(%d)", uint8(k))
 	}
@@ -38,9 +49,9 @@ type TopoSpec struct {
 
 	// Radix is the switch port budget k that drives inter-switch
 	// fan-out: fat-tree tiers branch in k/2s; a dragonfly router's
-	// intra-group mesh plus global channels must fit in k. Endpoint
-	// attachment is not capped by Radix — oversubscribed edges are a
-	// modeling choice, not an error.
+	// intra-group mesh plus global channels must fit in k. Ignored for
+	// line and ring. Endpoint attachment is not capped by Radix —
+	// oversubscribed edges are a modeling choice, not an error.
 	Radix int
 
 	// Tiers is the fat-tree depth: 2 (leaf–spine) or 3 (pods + core).
@@ -50,21 +61,24 @@ type TopoSpec struct {
 	// Pods is, for a 3-tier fat-tree, the pod count (1..Radix: each
 	// core switch spends one port per pod); for a 2-tier fat-tree the
 	// leaf count (2..Radix, default Radix); for a dragonfly the routers
-	// per group (default Radix/2).
+	// per group (default Radix/2); for a line the switch count and for
+	// a ring the switches per pod (default 1).
 	Pods int
 
 	// Groups is the dragonfly group count (default Pods+1 — one global
-	// channel per router). Ignored for fat-trees.
+	// channel per router) or the ring's pod count (≥ 2, required; 2
+	// pods are joined by two parallel links). Ignored for fat-trees; a
+	// line is always one group.
 	Groups int
 
 	// ISLConfig builds intra-pod / intra-group links (nil =
 	// link.DefaultConfig).
 	ISLConfig func() link.Config
 
-	// LongHaulConfig builds the long links — aggregation↔core and
-	// dragonfly global — (nil = ISLConfig). Raising its propagation
-	// models cross-row optics, and under sharding widens the
-	// coordinator's discovered lookahead for cuts riding those links.
+	// LongHaulConfig builds the long links — aggregation↔core,
+	// dragonfly global and ring pod-to-pod — (nil = ISLConfig). Raising
+	// its propagation models cross-row optics, and under sharding widens
+	// the coordinator's discovered lookahead for cuts riding those links.
 	LongHaulConfig func() link.Config
 }
 
@@ -74,11 +88,14 @@ type TopoSpec struct {
 type Topology struct {
 	Spec TopoSpec
 	All  []*Switch
-	// Edge is the endpoint-attachment tier: fat-tree edge/leaf
-	// switches, every router for a dragonfly.
+	// Edge is the device-attachment tier: fat-tree edge/leaf switches,
+	// every router for a dragonfly, every switch for a line or ring.
 	Edge []*Switch
-	Agg  []*Switch // 3-tier fat-tree aggregation switches
-	Core []*Switch // fat-tree core/spine switches
+	// Hosts is the host-attachment set: a line's first switch, Edge for
+	// every other kind.
+	Hosts []*Switch
+	Agg   []*Switch // 3-tier fat-tree aggregation switches
+	Core  []*Switch // fat-tree core/spine switches
 }
 
 // normalized applies defaults and validates the spec.
@@ -131,6 +148,18 @@ func (s TopoSpec) normalized() (TopoSpec, error) {
 			return s, fmt.Errorf("fabric: dragonfly router degree %d (mesh %d + global %d) exceeds radix %d",
 				a-1+h, a-1, h, s.Radix)
 		}
+	case TopoLine, TopoRing:
+		if s.Pods == 0 {
+			s.Pods = 1
+		}
+		if s.Pods < 1 {
+			return s, fmt.Errorf("fabric: %v needs ≥ 1 switch per pod, got %d", s.Kind, s.Pods)
+		}
+		if s.Kind == TopoLine {
+			s.Groups = 1
+		} else if s.Groups < 2 {
+			return s, fmt.Errorf("fabric: ring needs ≥ 2 pods (Groups), got %d", s.Groups)
+		}
 	default:
 		return s, fmt.Errorf("fabric: unknown topology kind %v", s.Kind)
 	}
@@ -152,17 +181,21 @@ func (s TopoSpec) Counts() (switches, isls int, err error) {
 			return s.Pods + half, s.Pods * half, nil
 		}
 		return s.Pods*s.Radix + half*half, 2 * s.Pods * half * half, nil
-	default: // TopoDragonfly
+	case TopoDragonfly:
 		a, g := s.Pods, s.Groups
 		return a * g, g*a*(a-1)/2 + g*(g-1)/2, nil
+	case TopoLine:
+		return s.Pods, s.Pods - 1, nil
+	default: // TopoRing: Pods-1 intra-pod links plus one pod link per pod
+		return s.Groups * s.Pods, s.Groups * s.Pods, nil
 	}
 }
 
 // Generate builds spec's topology into b: switches named by tier
 // position, inter-switch links wired per family, ports preallocated to
 // the radix. Call Builder.Reserve with Counts() first to get
-// arena-backed assembly. Endpoints are attached by the caller
-// (round-robin over Edge is the usual placement), then Discover.
+// arena-backed assembly. Endpoints are attached by the caller (hosts
+// round-robin over Hosts, devices over Edge), then Discover.
 func Generate(b *Builder, spec TopoSpec, scfg SwitchConfig) (*Topology, error) {
 	spec, err := spec.normalized()
 	if err != nil {
@@ -178,18 +211,54 @@ func Generate(b *Builder, spec TopoSpec, scfg SwitchConfig) (*Topology, error) {
 	}
 	topo := &Topology{Spec: spec}
 	start := len(b.switches)
-	if spec.Kind == TopoDragonfly {
+	switch {
+	case spec.Kind == TopoLine || spec.Kind == TopoRing:
+		err = generateRing(b, spec, scfg, lcfg, hcfg, topo)
+	case spec.Kind == TopoDragonfly:
 		err = generateDragonfly(b, spec, scfg, lcfg, hcfg, topo)
-	} else if spec.Tiers == 2 {
+	case spec.Tiers == 2:
 		err = generateLeafSpine(b, spec, scfg, lcfg, topo)
-	} else {
+	default:
 		err = generateFatTree3(b, spec, scfg, lcfg, hcfg, topo)
 	}
 	if err != nil {
 		return nil, err
 	}
 	topo.All = b.switches[start:]
+	topo.Hosts = topo.Edge
+	if spec.Kind == TopoLine {
+		topo.Hosts = topo.Edge[:1]
+	}
 	return topo, nil
+}
+
+// generateRing builds a line (one pod) or a ring of Groups pods:
+// switches fs0, fs1, …, then the intra-pod links pod by pod, then the
+// pod-to-pod links. Names and creation order decide link fault IDs,
+// stats keys and the contiguous shard cut, so every fixed-seed
+// snapshot of a line or ring depends on them staying put.
+func generateRing(b *Builder, spec TopoSpec, scfg SwitchConfig, lcfg, hcfg func() link.Config, topo *Topology) error {
+	per, pods := spec.Pods, spec.Groups
+	for i := 0; i < pods*per; i++ {
+		topo.Edge = append(topo.Edge, b.AddSwitch(fmt.Sprintf("fs%d", i), scfg))
+	}
+	for g := 0; g < pods; g++ {
+		for i := 1; i < per; i++ {
+			if err := b.ConnectSwitches(topo.Edge[g*per+i-1], topo.Edge[g*per+i], lcfg()); err != nil {
+				return err
+			}
+		}
+	}
+	if spec.Kind != TopoRing {
+		return nil
+	}
+	for g := 0; g < pods; g++ {
+		next := (g + 1) % pods
+		if err := b.ConnectSwitches(topo.Edge[g*per+per-1], topo.Edge[next*per], hcfg()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // generateLeafSpine wires Pods leaves to Radix/2 spines, every leaf to

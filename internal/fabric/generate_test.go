@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"fcc/internal/link"
@@ -184,6 +185,10 @@ func TestTopoSpecValidation(t *testing.T) {
 		{Kind: TopoFatTree, Radix: 4, Tiers: 3, Pods: 9}, // pods > radix
 		{Kind: TopoDragonfly, Radix: 2, Pods: 8},         // degree > radix
 		{Kind: TopoDragonfly, Radix: 8, Pods: 4, Groups: 1},
+		{Kind: TopoRing, Groups: 1},           // ring of one pod
+		{Kind: TopoRing, Pods: 2},             // ring without Groups
+		{Kind: TopoRing, Groups: 4, Pods: -1}, // negative pod size
+		{Kind: TopoLine, Pods: -1},            // negative switch count
 		{Kind: TopoKind(99)},
 	}
 	for i, spec := range bad {
@@ -195,5 +200,115 @@ func TestTopoSpecValidation(t *testing.T) {
 	nsw, nisl, err := (TopoSpec{Kind: TopoFatTree, Tiers: 3, Radix: 8, Pods: 6}).Counts()
 	if err != nil || nsw != 64 || nisl != 192 {
 		t.Fatalf("64sw fat-tree Counts = %d, %d, %v; want 64, 192, nil", nsw, nisl, err)
+	}
+}
+
+// switchNames and islIDs list a topology's switches and the builder's
+// inter-switch links (by fault ID) in creation order.
+func switchNames(sws []*Switch) string {
+	names := make([]string, len(sws))
+	for i, sw := range sws {
+		names[i] = sw.name
+	}
+	return strings.Join(names, " ")
+}
+
+func islIDs(b *Builder) string {
+	ids := make([]string, len(b.links))
+	for i, l := range b.links {
+		ids[i] = l.link.FaultID()
+	}
+	return strings.Join(ids, " ")
+}
+
+func TestLineInvariants(t *testing.T) {
+	b, topo := buildTopo(t, TopoSpec{Kind: TopoLine, Pods: 3}, 6)
+	if got := switchNames(topo.All); got != "fs0 fs1 fs2" {
+		t.Fatalf("switches = %q", got)
+	}
+	if got := islIDs(b); got != "fs0<->fs1 fs1<->fs2" {
+		t.Fatalf("ISLs = %q", got)
+	}
+	if got := switchNames(topo.Hosts); got != "fs0" {
+		t.Fatalf("host switches = %q, want the first switch only", got)
+	}
+	if got := switchNames(topo.Edge); got != "fs0 fs1 fs2" {
+		t.Fatalf("device switches = %q", got)
+	}
+	// A line is one pod holding every switch.
+	if got := switchNames(topo.PodSwitches(0)); got != "fs0 fs1 fs2" {
+		t.Fatalf("PodSwitches(0) = %q", got)
+	}
+	if hops, width := hopsAndWidth(t, b, topo.Edge[2], b.attached[0]); hops != 2 || width != 1 {
+		t.Fatalf("end to end: hops=%d width=%d, want 2, 1", hops, width)
+	}
+}
+
+func TestRingInvariants(t *testing.T) {
+	b, topo := buildTopo(t, TopoSpec{Kind: TopoRing, Groups: 4}, 8)
+	if got := switchNames(topo.All); got != "fs0 fs1 fs2 fs3" {
+		t.Fatalf("switches = %q", got)
+	}
+	if got := islIDs(b); got != "fs0<->fs1 fs1<->fs2 fs2<->fs3 fs3<->fs0" {
+		t.Fatalf("ISLs = %q", got)
+	}
+	if got := switchNames(topo.Hosts); got != "fs0 fs1 fs2 fs3" {
+		t.Fatalf("host switches = %q, want every switch", got)
+	}
+	// Antipodal switches see both ring directions as equal-cost.
+	if hops, width := hopsAndWidth(t, b, topo.Edge[2], b.attached[0]); hops != 2 || width != 2 {
+		t.Fatalf("antipodal: hops=%d width=%d, want 2, 2", hops, width)
+	}
+	if hops, width := hopsAndWidth(t, b, topo.Edge[1], b.attached[0]); hops != 1 || width != 1 {
+		t.Fatalf("adjacent: hops=%d width=%d, want 1, 1", hops, width)
+	}
+}
+
+func TestPodRingInvariants(t *testing.T) {
+	withProp := func(p sim.Time) func() link.Config {
+		return func() link.Config {
+			lc := link.DefaultConfig()
+			lc.Phys.Propagation = p
+			return lc
+		}
+	}
+	short, long := 10*sim.Nanosecond, sim.Microsecond
+	spec := TopoSpec{Kind: TopoRing, Groups: 8, Pods: 2,
+		ISLConfig: withProp(short), LongHaulConfig: withProp(long)}
+	b, topo := buildTopo(t, spec, 16)
+	if len(topo.All) != 16 || topo.All[15].name != "fs15" {
+		t.Fatalf("switches = %q", switchNames(topo.All))
+	}
+	want := "fs0<->fs1 fs2<->fs3 fs4<->fs5 fs6<->fs7 fs8<->fs9 fs10<->fs11 fs12<->fs13 fs14<->fs15 " +
+		"fs1<->fs2 fs3<->fs4 fs5<->fs6 fs7<->fs8 fs9<->fs10 fs11<->fs12 fs13<->fs14 fs15<->fs0"
+	if got := islIDs(b); got != want {
+		t.Fatalf("ISLs = %q\nwant   %q", got, want)
+	}
+	for i, l := range b.links {
+		want := short
+		if i >= 8 {
+			want = long
+		}
+		if l.prop != want {
+			t.Fatalf("ISL %s propagation %v, want %v", l.link.FaultID(), l.prop, want)
+		}
+	}
+	if got := switchNames(topo.PodSwitches(3)); got != "fs6 fs7" {
+		t.Fatalf("PodSwitches(3) = %q, want fs6 fs7", got)
+	}
+}
+
+// TestStormPlanOnRingPod aims a storm at one pod of a ring: both of its
+// switches die and the three ISLs touching them (its intra-pod link and
+// the pod links on either side) flap.
+func TestStormPlanOnRingPod(t *testing.T) {
+	b, topo := buildTopo(t, TopoSpec{Kind: TopoRing, Groups: 4, Pods: 2}, 8)
+	plan := StormPlan(b, "pod1", topo.PodSwitches(1), 10*sim.Microsecond, 0, 0)
+	var targets []string
+	for _, ev := range plan.Events {
+		targets = append(targets, ev.Target)
+	}
+	if got, want := strings.Join(targets, " "), "fs2 fs3 fs2<->fs3 fs1<->fs2 fs3<->fs4"; got != want {
+		t.Fatalf("storm targets = %q, want %q", got, want)
 	}
 }

@@ -42,10 +42,11 @@ func StormPlan(b *Builder, name string, switches []*Switch, at, stagger, dur sim
 
 // PodSwitches returns the generated fat-tree pod p's switches (edge
 // then aggregation) — the natural blast unit for StormPlan. For a
-// dragonfly it returns group p's routers.
+// dragonfly it returns group p's routers, for a ring pod p's switches,
+// and a line is pod 0 holding every switch.
 func (t *Topology) PodSwitches(p int) []*Switch {
 	switch {
-	case t.Spec.Kind == TopoDragonfly:
+	case t.Spec.Kind != TopoFatTree:
 		a := t.Spec.Pods
 		return t.Edge[p*a : (p+1)*a]
 	case t.Spec.Tiers == 2:
