@@ -12,9 +12,10 @@ import (
 // imports — in sim-facing code: package fcc/internal/sim itself and any
 // file importing it. The engine's contract is one event at a time per
 // shard; the ONLY sanctioned cross-engine machinery is the coordinator
-// (internal/sim/shard.go), its spin-then-park barrier
-// (internal/sim/barrier.go), and the engine/proc handoff internals,
-// which opt out with a `//fcclint:conc <reason>` file tag. Anything else
+// (internal/sim/shard.go) and its spin-then-park barrier
+// (internal/sim/barrier.go), which opt out with a `//fcclint:conc
+// <reason>` file tag. The engine and its process coroutines (iter.Pull)
+// use no bare concurrency and stay covered. Anything else
 // using raw goroutines against engine state is a determinism bug
 // waiting for a -race run to find it: cross-shard traffic must go
 // through a sim.Mailbox, and in-shard code simply schedules events.
@@ -35,8 +36,8 @@ func Concban() *Analyzer {
 			}
 			// sync/atomic primitives are the same hazard as channels in
 			// sim-facing code: shared mutable state across engine
-			// goroutines. The sanctioned users (the coordinator's barrier,
-			// engine/proc internals) carry the //fcclint:conc tag.
+			// goroutines. The sanctioned users (the coordinator and its
+			// barrier) carry the //fcclint:conc tag.
 			for _, imp := range f.Imports {
 				path, err := strconv.Unquote(imp.Path.Value)
 				if err != nil {

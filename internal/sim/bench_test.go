@@ -96,9 +96,9 @@ func BenchmarkEngineScheduleFireHeap(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkProcSwitch measures coroutine process handoff cost. In the
+// BenchmarkProcSwitch measures the process pause/resume cost. In the
 // steady state the sleeping process's own wake-up is the next pending
-// event, so the fast path consumes it in place: no goroutine switch and
+// event, so the fast path consumes it in place: no coroutine switch and
 // no allocation per yield.
 func BenchmarkProcSwitch(b *testing.B) {
 	e := NewEngine()
@@ -112,9 +112,9 @@ func BenchmarkProcSwitch(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkProcSwitchPair measures handoff between two alternating
-// processes — the genuine goroutine-switch path (each yield hands the
-// dispatch token directly to the peer).
+// BenchmarkProcSwitchPair measures two alternating processes — the
+// genuine switch path: each pause yields to the dispatch loop, which
+// resumes the peer (two coroutine switches per op).
 func BenchmarkProcSwitchPair(b *testing.B) {
 	e := NewEngine()
 	spin := func(p *Proc) {
@@ -131,7 +131,7 @@ func BenchmarkProcSwitchPair(b *testing.B) {
 
 // BenchmarkProcSpawn measures spawn-to-completion of short-lived
 // processes. The runner free list makes the steady state cost one Proc
-// allocation — no goroutine or channel construction per spawn.
+// allocation — no coroutine construction per spawn.
 func BenchmarkProcSpawn(b *testing.B) {
 	e := NewEngine()
 	body := func(p *Proc) {}

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // tickNet is a tiny self-perpetuating multi-shard model for coordinator
@@ -203,5 +206,175 @@ func TestCoordinatorZeroAllocWindows(t *testing.T) {
 	}
 	if n.recv[1] == 0 || n.recv[2] == 0 {
 		t.Fatal("cross-shard paths not exercised")
+	}
+}
+
+// procNet is a Proc-driven ring model: in every domain, procs sleep
+// for a pseudo-random (odd-picosecond) time, send a token to their twin
+// in the next domain, and Await a Future that the twin in the previous
+// domain's token completes on delivery. Deliveries land on even
+// picoseconds, so they never tie with a local wake-up — serial and
+// sharded execution must then agree event for event.
+type procNet struct {
+	domains, procs, rounds int
+	window                 Time
+	send                   []func(at Time, fn func(any), arg any)
+	rngs                   []*RNG
+	inbox                  []procInbox // domain*procs+k
+	trace                  [][]shardRec
+}
+
+type procInbox struct {
+	queued []int
+	wait   *Future[int]
+}
+
+type procToken struct {
+	n       *procNet
+	dst, id int
+}
+
+func procDeliver(a any) {
+	tk := a.(*procToken)
+	in := &tk.n.inbox[tk.dst]
+	if f := in.wait; f != nil {
+		in.wait = nil
+		f.Complete(tk.id) // resumes the awaiting proc nested, right here
+		return
+	}
+	in.queued = append(in.queued, tk.id)
+}
+
+func newProcNet(domains, procs, rounds int, window Time, seed uint64) *procNet {
+	n := &procNet{
+		domains: domains, procs: procs, rounds: rounds, window: window,
+		send:  make([]func(Time, func(any), any), domains),
+		rngs:  make([]*RNG, domains),
+		inbox: make([]procInbox, domains*procs),
+		trace: make([][]shardRec, domains),
+	}
+	for d := range n.rngs {
+		n.rngs[d] = NewRNG(seed).Fork(uint64(d))
+	}
+	return n
+}
+
+// start spawns every domain's procs on engs[d], in domain order so the
+// serial and sharded runs schedule identically.
+func (n *procNet) start(engs []*Engine) {
+	for d := 0; d < n.domains; d++ {
+		for k := 0; k < n.procs; k++ {
+			engs[d].Go("ring", func(p *Proc) {
+				self := &n.inbox[d*n.procs+k]
+				next := ((d+1)%n.domains)*n.procs + k
+				for i := 0; i < n.rounds; i++ {
+					wake := (p.Now() + Time(n.rngs[d].Intn(100))*Nanosecond) | 1
+					p.Sleep(wake - p.Now())
+					now := p.Now()
+					at := (now + n.window + Time(n.rngs[d].Intn(2048)) + 1) &^ 1
+					n.send[d](at, procDeliver, &procToken{n: n, dst: next, id: (d*n.procs+k)*1000 + i})
+					var id int
+					if len(self.queued) > 0 {
+						id, self.queued = self.queued[0], self.queued[1:]
+					} else {
+						self.wait = NewFuture[int]()
+						id = self.wait.MustAwait(p)
+					}
+					n.trace[d] = append(n.trace[d], shardRec{at: p.Now(), id: id})
+				}
+			})
+		}
+	}
+}
+
+// quietGoroutines reports the goroutine count once it has stopped
+// changing, so goroutines still exiting from earlier tests do not
+// inflate a baseline.
+func quietGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		time.Sleep(5 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// settleGoroutines waits for exiting goroutines (finished coordinator
+// workers) to disappear, then checks the count.
+func settleGoroutines(t *testing.T, label string, want int) {
+	t.Helper()
+	got := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); got != want && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if got != want {
+		t.Fatalf("%s: %d goroutines, want %d", label, got, want)
+	}
+}
+
+// TestCoordinatorProcsAwaitMailboxFutures runs Procs under the
+// coordinator: every domain's procs Await futures that Mailbox
+// deliveries complete, and the coroutines are resumed from worker
+// goroutines that change with every RunUntil call. The per-domain trace
+// must equal the serial engine's, and after every call the goroutine
+// count must be the baseline plus one per parked proc — no pooled
+// runner outlives a Run.
+func TestCoordinatorProcsAwaitMailboxFutures(t *testing.T) {
+	const domains, procs, rounds = 3, 4, 40
+	const window = 50 * Nanosecond
+	base := quietGoroutines()
+	serial := newProcNet(domains, procs, rounds, window, 5)
+	eng := NewEngine()
+	engs := make([]*Engine, domains)
+	for d := range engs {
+		engs[d] = eng
+		serial.send[d] = eng.At2
+	}
+	serial.start(engs)
+	eng.Run()
+	if eng.procs != 0 {
+		t.Fatalf("serial run left %d procs unfinished", eng.procs)
+	}
+	settleGoroutines(t, "serial after Run", base)
+
+	for _, sequential := range []bool{true, false} {
+		n := newProcNet(domains, procs, rounds, window, 5)
+		c := NewCoordinator(domains, window)
+		c.Sequential = sequential
+		if !sequential {
+			defer func(old bool) { coordParallel = old }(coordParallel)
+			coordParallel = true
+		}
+		for d := range engs {
+			engs[d] = c.Engine(d)
+			n.send[d] = c.Mailbox(d, (d+1)%domains).Send
+		}
+		n.start(engs)
+		label := fmt.Sprintf("sequential=%v", sequential)
+		for until := 500 * Nanosecond; until <= 3*Microsecond; until += 500 * Nanosecond {
+			c.RunUntil(until)
+			live := 0
+			for d := range engs {
+				live += engs[d].procs
+			}
+			if live == 0 {
+				t.Fatalf("%s: every proc finished by %v — steps not exercising parked coroutines", label, until)
+			}
+			settleGoroutines(t, fmt.Sprintf("%s after RunUntil(%v)", label, until), base+live)
+		}
+		c.Run()
+		for d := range engs {
+			if engs[d].procs != 0 {
+				t.Fatalf("%s: domain %d left %d procs unfinished", label, d, engs[d].procs)
+			}
+		}
+		settleGoroutines(t, label+" after Run", base)
+		diffShardNets(t, label,
+			&shardNet{domains: domains, trace: serial.trace},
+			&shardNet{domains: domains, trace: n.trace})
 	}
 }

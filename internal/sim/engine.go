@@ -1,6 +1,5 @@
 package sim
 
-//fcclint:conc engine park/wake handshake with paused proc runners
 import (
 	"fmt"
 	"math/bits"
@@ -11,9 +10,9 @@ import (
 // timestamp order; ties are broken by scheduling order, which makes every
 // run fully deterministic.
 //
-// Engine is not safe for concurrent use. Processes started with Go run on
-// goroutines but are resumed strictly one at a time (see proc.go), so
-// model code never needs locks. Parallelism across *simulations* (e.g.
+// Engine is not safe for concurrent use. Processes started with Go run as
+// coroutines, resumed strictly one at a time (see proc.go), so model
+// code never needs locks. Parallelism across *simulations* (e.g.
 // fccbench -seeds/-parallel) is safe because each seed owns a private
 // Engine.
 //
@@ -42,7 +41,6 @@ import (
 type Engine struct {
 	now     Time
 	seq     uint64
-	running bool
 	stopped bool
 
 	// cur is the active dispatch list: all pending events with at <
@@ -66,18 +64,17 @@ type Engine struct {
 	// nil'd so pooled events never pin model objects) and recycled.
 	free *event
 
-	// procs counts live processes so RunUntilIdle can detect deadlock
-	// (live processes but an empty event queue).
+	// procs counts live (spawned, not yet finished) processes.
 	procs int
 
-	// mainHand parks the Run caller while a process holds the dispatch
-	// token; freeRunner pools runner goroutines for reuse across
-	// processes (drained when Run returns). driveLimit is the active
-	// Run/RunUntil horizon, read by takeProcEvent on process goroutines.
-	mainHand   handoff
+	// freeRunner pools process coroutines for reuse across processes
+	// (drained when Run returns). driving is the process the dispatch
+	// loop is currently resuming, and driveLimit the active Run/RunUntil
+	// horizon: both gate takeOwnEvent.
 	freeRunner *runner
+	driving    *Proc
 	driveLimit Time
-	// runnersMinted counts runner goroutine constructions, so tests can
+	// runnersMinted counts runner coroutine constructions, so tests can
 	// pin the free list's reuse guarantee.
 	runnersMinted int
 
@@ -101,8 +98,8 @@ const (
 
 // Event kinds. kindProc events resume a process (arg holds the *Proc);
 // they are recognized by the dispatch core so a pausing process can
-// consume the next resume directly instead of bouncing through the Run
-// caller's goroutine (see proc.go "Handoff structure").
+// consume its own next wake-up in place instead of switching back to
+// the dispatch loop (see proc.go "Coroutine structure").
 const (
 	kindFn uint8 = iota
 	kindAfn
@@ -138,9 +135,7 @@ func eventCmp(a, b *event) int {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	e := &Engine{curEnd: bucketWidth}
-	e.mainHand.park = make(chan struct{})
-	return e
+	return &Engine{curEnd: bucketWidth}
 }
 
 // Now reports the current virtual time.
@@ -417,9 +412,7 @@ func (e *Engine) Step() bool {
 	case kindProc:
 		p := ev.arg.(*Proc)
 		e.release(ev)
-		if !p.done {
-			p.resumeBlocking()
-		}
+		p.resume()
 	case kindFn:
 		fn := ev.fn
 		e.release(ev)
@@ -432,28 +425,50 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// driveTo fires callback events in order until the next pending event is
-// a live process resume (returned, already popped), the horizon or queue
-// is exhausted, or Stop is called. Runs only on the Run caller's
-// goroutine: every non-process callback fires here, while all process
-// goroutines are parked.
-func (e *Engine) driveTo(limit Time) *Proc {
+// takeOwnEvent consumes the next pending event if and only if it is p's
+// own wake-up within the drive horizon. Called by a pausing process that
+// the dispatch loop resumed, so no callback is mid-flight beneath it.
+// When the next event would exceed EventLimit it declines, so the limit
+// panic fires from pop in the dispatch loop.
+func (e *Engine) takeOwnEvent(p *Proc) bool {
+	if e.stopped || e.curIdx == len(e.cur) && !e.refill() {
+		return false
+	}
+	ev := e.cur[e.curIdx]
+	if ev.kind != kindProc || ev.arg != any(p) || ev.at > e.driveLimit {
+		return false
+	}
+	if e.EventLimit > 0 && e.fired >= e.EventLimit {
+		return false
+	}
+	e.pop()
+	e.release(ev)
+	return true
+}
+
+// runLimit is the shared Run/RunUntil core: fire events in order until
+// the horizon or queue is exhausted or Stop is called, then stop the
+// pooled coroutines. A process resume runs the process until it pauses;
+// while it runs, driving marks it so it may consume its own next
+// wake-up in place (takeOwnEvent).
+func (e *Engine) runLimit(limit Time) {
+	e.stopped = false
+	e.driveLimit = limit
 	for !e.stopped {
 		if e.curIdx == len(e.cur) && !e.refill() {
-			return nil
+			break
 		}
 		if e.cur[e.curIdx].at > limit {
-			return nil
+			break
 		}
 		ev := e.pop()
 		switch ev.kind {
 		case kindProc:
 			p := ev.arg.(*Proc)
 			e.release(ev)
-			if p.done {
-				continue // stale wake-up of a finished process
-			}
-			return p
+			e.driving = p
+			p.resume()
+			e.driving = nil
 		case kindFn:
 			fn := ev.fn
 			e.release(ev)
@@ -464,57 +479,7 @@ func (e *Engine) driveTo(limit Time) *Proc {
 			afn(arg)
 		}
 	}
-	return nil
-}
-
-// takeProcEvent consumes the next pending event if and only if it is a
-// live process resume within the drive horizon. Called by a pausing
-// process that holds the dispatch token (the Run caller is parked), so
-// it may mutate engine state freely. When the next event would exceed
-// EventLimit it declines, bouncing control to driveTo so the limit
-// panic fires on the Run caller's goroutine.
-func (e *Engine) takeProcEvent() (*Proc, bool) {
-	for {
-		if e.stopped {
-			return nil, false
-		}
-		if e.curIdx == len(e.cur) && !e.refill() {
-			return nil, false
-		}
-		ev := e.cur[e.curIdx]
-		if ev.kind != kindProc || ev.at > e.driveLimit {
-			return nil, false
-		}
-		if e.EventLimit > 0 && e.fired >= e.EventLimit {
-			return nil, false
-		}
-		p := ev.arg.(*Proc)
-		e.pop()
-		e.release(ev)
-		if p.done {
-			continue // stale wake-up of a finished process
-		}
-		return p, true
-	}
-}
-
-// runLimit is the shared Run/RunUntil core: alternate between driving
-// callback events and granting the dispatch token to the next runnable
-// process, which gives it back via mainHand when no process resume is
-// immediately next.
-func (e *Engine) runLimit(limit Time) {
-	e.running, e.stopped = true, false
-	e.driveLimit = limit
-	for !e.stopped {
-		p := e.driveTo(limit)
-		if p == nil {
-			break
-		}
-		e.resume(p)
-		e.mainHand.wait()
-	}
 	e.drainRunners()
-	e.running = false
 }
 
 // MaxTime is the largest schedulable virtual time (~107 days), used as

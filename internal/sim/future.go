@@ -72,7 +72,7 @@ func (f *Future[T]) finish(v T, err error) {
 	}
 	if p := f.wp; p != nil {
 		f.wp = nil
-		p.resumeBlocking()
+		p.resume()
 	}
 }
 

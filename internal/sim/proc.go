@@ -1,41 +1,38 @@
+//go:build go1.23
+
 package sim
 
-//fcclint:hotpath process handoff is the hottest non-event path (PR 5)
-//fcclint:conc proc handoff rendezvous with the engine main hand
+//fcclint:hotpath process switching is the hottest non-event path
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "iter"
 
-// Proc is a cooperatively scheduled simulation process. Each Proc runs on
-// its own goroutine, but the engine resumes exactly one process at a time
-// and blocks until that process either yields (Sleep/Await/Suspend) or
-// returns, so execution remains deterministic — processes are simply a
-// more convenient notation for sequential model code (workload drivers,
-// CPU threads, controller firmware) than chained callbacks.
+// Proc is a cooperatively scheduled simulation process. Each Proc runs as
+// a coroutine (iter.Pull): the engine resumes exactly one process at a
+// time and blocks until that process either pauses (Sleep/Await/Suspend)
+// or returns, so execution remains deterministic — processes are simply
+// a more convenient notation for sequential model code (workload
+// drivers, CPU threads, controller firmware) than chained callbacks.
 //
-// # Handoff structure
+// # Coroutine structure
 //
-// Control transfers use a single-word rendezvous (handoff) instead of
-// channel pairs, and the transfer topology is flattened so the common
-// paths skip goroutine switches entirely:
+// Resuming a process is next() on its coroutine and pausing is yield():
+// the runtime switches directly between the two goroutines, with no
+// scheduler pass and no OS wakeup, whatever GOMAXPROCS is. Every resume
+// is a blocking call that returns when the process pauses or finishes,
+// and every resumer takes the same path: the dispatch loop, event
+// context (a Future completion, a Suspend wake, Step) and another
+// process resuming a peer nested inside its own body. Nesting is plain
+// call-stack discipline, so event and model execution order are exactly
+// those of a single-threaded callback simulator.
 //
-//   - A process that sleeps and whose own wake-up is the next pending
-//     event consumes that event in place: zero goroutine switches
-//     (the BenchmarkProcSwitch steady state).
-//   - A process that yields while another process's wake-up is next
-//     hands control directly to that process: one switch, not two
-//     (old: yield to engine, engine resumes peer).
-//   - Only when the next event is a plain callback (or the queue is
-//     empty/bounded) does control return to the Run caller's goroutine,
-//     which is the only goroutine that executes non-process events.
+// One case needs no switch at all: a process that the dispatch loop
+// resumed, and whose own wake-up is the next pending event, consumes
+// that event in place and keeps running (the BenchmarkProcSwitch
+// steady state).
 //
-// Synchronous wakes from event context (Suspend/Await) keep their exact
-// blocking semantics — the woken process runs immediately, nested inside
-// the firing callback — so event and model execution order is unchanged
-// from the channel-based implementation (same-seed runs are
-// byte-identical across the two).
+// A model panic inside a process body unwinds the coroutine and
+// propagates out of next() to whoever resumed it, with its original
+// value, up to the Run/Step caller.
 type Proc struct {
 	eng    *Engine
 	name   string
@@ -43,110 +40,67 @@ type Proc struct {
 	r      *runner
 	done   bool
 	killed bool
-	// nested marks that the current resume came from event context
-	// (resumeBlocking): the next pause must return control to the
-	// blocked caller, not to the dispatch loop.
-	nested bool
 }
 
-// handoff is a single-word binary semaphore: a spin-then-park rendezvous
-// point for transferring the "exactly one goroutine runs" token. The
-// spin phase yields to the scheduler between attempts, so on a single
-// CPU the transfer usually completes via two cheap scheduler passes
-// instead of a full channel park/unpark pair (~1.5x faster, measured).
-// Atomic operations carry the happens-before edge for the race detector.
-type handoff struct {
-	// state: 0 = no token, 1 = token available, -1 = a waiter is parked.
-	state atomic.Int32
-	park  chan struct{}
-}
-
-const handoffSpins = 16
-
-// signal deposits the token, waking the parked waiter if there is one.
-// Strict alternation (one token in flight per handoff) means signal can
-// never observe state == 1.
-func (h *handoff) signal() {
-	if h.state.Swap(1) == -1 {
-		h.park <- struct{}{}
-	}
-}
-
-// wait consumes the token, spinning briefly before parking.
-func (h *handoff) wait() {
-	for i := 0; i < handoffSpins; i++ {
-		if h.state.CompareAndSwap(1, 0) {
-			return
-		}
-		runtime.Gosched()
-	}
-	for {
-		if h.state.CompareAndSwap(1, 0) {
-			return
-		}
-		if h.state.CompareAndSwap(0, -1) {
-			<-h.park
-			h.state.Store(0)
-			return
-		}
-	}
-}
-
-// runner is the goroutine + rendezvous pair a process executes on.
-// Runners are pooled on the engine: a short-lived workload thread costs
-// no goroutine or channel construction when a finished runner is free
-// (the pool is drained when Run returns, so idle engines hold no parked
-// goroutines beyond genuinely suspended processes).
+// runner is the pooled coroutine a process executes on. Its sequence
+// function runs one process body after another, parking at a yield
+// between bodies, so a short-lived workload thread costs no coroutine
+// construction when a finished runner is free. The pool is drained when
+// Run returns, so idle engines hold no coroutines beyond genuinely
+// suspended processes.
 type runner struct {
-	hand   handoff // resume: token granting this runner's proc the right to run
-	back   handoff // nested yield: proc -> blocked resumeBlocking caller
-	p      *Proc
-	retire bool
-	next   *runner // engine free list
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc
+	link  *runner // engine free list
 }
 
 func newRunner() *runner {
 	r := &runner{}
-	r.hand.park = make(chan struct{})
-	r.back.park = make(chan struct{})
-	go runnerLoop(r)
+	r.next, r.stop = iter.Pull(r.loop)
 	return r
 }
 
-func runnerLoop(r *runner) {
+// loop is the runner's sequence function: run the bound body, return to
+// the pool (finish), pause, and start the next body bound to it. A stop
+// from drainRunners makes the pool yield report false.
+func (r *runner) loop(yield func(struct{}) bool) {
+	r.yield = yield
 	for {
-		r.hand.wait()
-		if r.retire {
+		runBody(r.p)
+		if !yield(struct{}{}) {
 			return
 		}
-		runBody(r.p)
 	}
 }
 
-// runBody executes one process body and routes control onward when it
-// returns or unwinds.
+// runBody executes one process body, unless the process was killed
+// before it started, and retires the process when the body returns or
+// unwinds from a Kill. Any other panic passes through untouched: the
+// coroutine dies and the panic surfaces from the resumer's next().
 func runBody(p *Proc) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if _, ok := rec.(procKilled); !ok {
-				// A model panic: hand control back (so the engine side
-				// unblocks rather than wedging) and re-raise; the
-				// program is going down with the original value.
-				p.done = true
-				p.eng.procs--
-				if p.nested {
-					p.r.back.signal()
-				} else {
-					p.eng.mainHand.signal()
-				}
-				panic(rec)
-			}
-		}
-		if !p.done {
-			p.finish()
-		}
-	}()
+	if !p.killed {
+		p.body()
+	}
+	p.finish()
+}
+
+func (p *Proc) body() {
+	defer p.catchKill()
 	p.fn(p)
+}
+
+// catchKill absorbs the procKilled unwind of a killed process.
+func (p *Proc) catchKill() {
+	if !p.killed {
+		return
+	}
+	if rec := recover(); rec != nil {
+		if _, ok := rec.(procKilled); !ok {
+			panic(rec)
+		}
+	}
 }
 
 // Go starts fn as a new process at the current simulation time. The
@@ -157,118 +111,69 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name, fn: fn}
 	e.procs++
 	// The start is an ordinary proc-resume event, so start order at equal
-	// timestamps follows Go-call order exactly as before. The runner is
-	// bound lazily, when the start event is dispatched.
+	// timestamps follows Go-call order. The runner is bound lazily, when
+	// the start event is dispatched.
 	e.atProc(e.now, p)
 	return p
 }
 
-// bind attaches a pooled (or new) runner goroutine to p.
-func (p *Proc) bind() {
-	e := p.eng
-	r := e.freeRunner
-	if r != nil {
-		e.freeRunner = r.next
-		r.next = nil
-	} else {
-		r = newRunner()
-		e.runnersMinted++
-	}
-	r.p = p
-	p.r = r
-}
-
-// resume hands the run token to p, binding a runner on first resume.
-// The caller must immediately either park or return to model code.
-func (e *Engine) resume(p *Proc) {
-	if p.r == nil {
-		p.bind()
-	}
-	p.r.hand.signal()
-}
-
-// resumeBlocking runs p from event context until it pauses or finishes,
-// blocking the calling goroutine — the synchronous wake used by
-// Suspend/Await and by Step. Resuming a finished process is a no-op: a
+// resume runs p until it pauses or finishes, binding a pooled (or new)
+// runner on first resume. Resuming a finished process is a no-op: a
 // Kill and a pending wake-up can race benignly.
-func (p *Proc) resumeBlocking() {
+func (p *Proc) resume() {
 	if p.done {
 		return
 	}
-	p.nested = true
 	if p.r == nil {
-		p.bind()
+		e := p.eng
+		r := e.freeRunner
+		if r != nil {
+			e.freeRunner = r.link
+			r.link = nil
+		} else {
+			r = newRunner()
+			e.runnersMinted++
+		}
+		r.p = p
+		p.r = r
 	}
-	// Capture the runner before granting the token: the process may
-	// finish and detach p.r before we reach the wait.
-	r := p.r
-	r.hand.signal()
-	r.back.wait()
+	p.r.next()
 }
 
 // finish retires a completed process: its runner returns to the engine
-// pool and control routes onward exactly as a pause would.
+// pool, and the runner's loop then pauses back to the resumer.
 func (p *Proc) finish() {
 	e := p.eng
 	p.done = true
 	e.procs--
 	r := p.r
-	nested := p.nested
-	p.nested = false
 	p.r = nil
 	r.p = nil
-	r.next = e.freeRunner
+	r.link = e.freeRunner
 	e.freeRunner = r
-	if nested {
-		r.back.signal()
-		return
-	}
-	if q, ok := e.takeProcEvent(); ok {
-		e.resume(q)
-	} else {
-		e.mainHand.signal()
-	}
 }
 
 type procKilled struct{}
 
-// pause returns control from the process and blocks until resumed.
-// Called from the process goroutine only.
+// pause returns control to the resumer and returns when resumed — or
+// consumes the process's own wake-up in place when the dispatch loop
+// resumed it and that wake-up is the next pending event. Called from the
+// process body only.
 func (p *Proc) pause() {
-	r := p.r
-	if p.nested {
-		// Resumed from event context: unblock that caller.
-		p.nested = false
-		r.back.signal()
-	} else {
-		// We hold the dispatch token. Consume our own wake-up in place
-		// (zero switches), hand directly to the next process (one
-		// switch), or return the token to the Run caller.
-		e := p.eng
-		if q, ok := e.takeProcEvent(); ok {
-			if q == p {
-				if p.killed {
-					panic(procKilled{})
-				}
-				return
-			}
-			e.resume(q)
-		} else {
-			e.mainHand.signal()
-		}
+	e := p.eng
+	if e.driving != p || !e.takeOwnEvent(p) {
+		p.r.yield(struct{}{})
 	}
-	r.hand.wait()
 	if p.killed {
 		panic(procKilled{})
 	}
 }
 
-// drainRunners retires every pooled runner goroutine; called when Run
-// returns so idle engines pin no goroutines beyond suspended processes.
+// drainRunners stops every pooled coroutine; called when Run returns so
+// idle engines pin no goroutines beyond suspended processes.
 func (e *Engine) drainRunners() {
-	for r := e.freeRunner; r != nil; r = r.next {
-		r.retire = true
-		r.hand.signal()
+	for r := e.freeRunner; r != nil; r = r.link {
+		r.stop()
 	}
 	e.freeRunner = nil
 }
@@ -294,7 +199,7 @@ func (p *Proc) Sleep(d Time) {
 }
 
 // Suspend parks the process until the wake function handed to arm is
-// called from event context. arm runs on the process goroutine before the
+// called from event context. arm runs in the process body before the
 // park, so it can register wake as a completion callback without racing.
 // If wake fires synchronously inside arm (the awaited condition already
 // held), Suspend returns without parking. Waking twice panics.
@@ -307,7 +212,7 @@ func (p *Proc) Suspend(arm func(wake func())) {
 		}
 		fired = true
 		if parked {
-			p.resumeBlocking()
+			p.resume()
 		}
 	})
 	if fired {
@@ -321,7 +226,8 @@ func (p *Proc) Suspend(arm func(wake func())) {
 }
 
 // Kill aborts the process: the next time it would be resumed it unwinds
-// instead. A parked process is resumed immediately so it cannot linger
+// instead, and a process killed before its start event never runs its
+// body. A parked process is resumed immediately so it cannot linger
 // forever. Kill must be called from event context (or another process),
 // never from the victim itself.
 func (p *Proc) Kill() {

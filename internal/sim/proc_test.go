@@ -244,3 +244,86 @@ func TestAwaitAll(t *testing.T) {
 		t.Fatalf("AwaitAll finished at %v, want 30ns", done)
 	}
 }
+
+// TestProcKillBeforeStart: a process killed before its start event fires
+// must never run its body — Kill's contract is that the next resume
+// unwinds instead.
+func TestProcKillBeforeStart(t *testing.T) {
+	e := NewEngine()
+	ran := false
+	p := e.Go("victim", func(p *Proc) {
+		ran = true
+		p.Sleep(Nanosecond)
+	})
+	p.Kill()
+	e.Run()
+	if ran {
+		t.Fatal("proc killed before its start ran its body")
+	}
+	if !p.Done() || e.procs != 0 {
+		t.Fatalf("done=%v live=%d after kill-before-start, want done and 0", p.Done(), e.procs)
+	}
+}
+
+// TestProcPanicReachesRunCaller: a model panic in a process body must be
+// loud and catchable — it surfaces from Run (or Step) on the caller's
+// goroutine with its original value, whichever context resumed the
+// process.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	boom := errTest("model bug")
+	cases := []struct {
+		name  string
+		setup func(e *Engine)
+		drive func(e *Engine)
+	}{
+		{"top-level resume", func(e *Engine) {
+			e.Go("p", func(p *Proc) {
+				p.Sleep(Nanosecond)
+				panic(boom)
+			})
+		}, (*Engine).Run},
+		{"future completed in an event callback", func(e *Engine) {
+			f := NewFuture[int]()
+			e.Go("p", func(p *Proc) {
+				f.MustAwait(p)
+				panic(boom)
+			})
+			e.At(10*Nanosecond, func() { f.Complete(1) })
+		}, (*Engine).Run},
+		{"future completed by another proc", func(e *Engine) {
+			f := NewFuture[int]()
+			e.Go("victim", func(p *Proc) {
+				f.MustAwait(p)
+				panic(boom)
+			})
+			e.Go("waker", func(p *Proc) {
+				p.Sleep(Nanosecond)
+				f.Complete(1)
+				t.Error("waker continued past the peer's panic")
+			})
+		}, (*Engine).Run},
+		{"resume through Step", func(e *Engine) {
+			e.Go("p", func(p *Proc) {
+				p.Yield()
+				panic(boom)
+			})
+		}, func(e *Engine) {
+			for e.Step() {
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			tc.setup(e)
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				tc.drive(e)
+			}()
+			if got != boom {
+				t.Fatalf("recovered %v (%T), want the body's panic value %v", got, got, boom)
+			}
+		})
+	}
+}

@@ -43,12 +43,16 @@ import (
 //
 // # Execution
 //
-// Shard 0 runs on the caller's goroutine; shards 1..n-1 run on
-// persistent pinned workers (one per shard, spawned when a run starts)
+// Shard 0 runs on the caller's goroutine; shards 1..n-1 run on workers
+// (one per shard, spawned when a run starts and joined when it ends)
 // that rendezvous through an epoch-counter barrier with bounded
 // spin-then-park waiting (see barrier.go) — per round the
 // synchronization cost is a handful of atomic operations, not 2n
-// channel handoffs and goroutine wakeups.
+// channel round trips and goroutine wakeups. A shard's process
+// coroutines are resumed by whichever goroutine runs its engine that
+// round: an iter.Pull coroutine is not tied to the goroutine that
+// created it, and the barrier orders one round's resumes before the
+// next's.
 //
 // # Why determinism is preserved
 //
