@@ -45,16 +45,18 @@ race:
 	$(GO) test -race ./...
 
 # shard-equiv is the parallel-determinism gate: the coordinator/mailbox
-# unit tests plus the serial-vs-sharded byte-identical-snapshot suite,
+# unit tests, the cluster-level Stop and clock-after-Run tests at 1, 2
+# and 4 shards, and the serial-vs-sharded byte-identical-snapshot suite,
 # run under the race detector with -count=1 so a cached pass never
 # masks a fresh data race in the window-barrier machinery. The sim leg
-# runs at -cpu 1,4 and the exp leg pins GOMAXPROCS=4, so the
+# runs at -cpu 1,4 and the root and exp legs pin GOMAXPROCS=4, so the
 # worker-barrier path — and process coroutines resumed from worker
 # goroutines — actually run under the race detector even on a 1-CPU
 # runner (on a single-P runtime the coordinator falls back to
 # sequential execution).
 shard-equiv:
 	$(GO) test -race -count=1 -cpu 1,4 -run 'Coordinator|Mailbox|Window' ./internal/sim/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestClusterClock|TestClusterStop' .
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSharded' ./internal/exp/
 
 # fabstore-equiv gates the E11 macro-benchmark's determinism claim: the

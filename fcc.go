@@ -72,20 +72,20 @@ type Config struct {
 	// (endpoint and switch sides). See Cluster.Tracer.
 	TraceFlits int
 
-	// Shards > 1 partitions the cluster into that many failure domains
-	// (contiguous blocks of the generated switch sequence plus their
-	// attached endpoints; at most one shard per switch), each running
-	// on a private engine, synchronized conservatively by a
-	// sim.Coordinator with the inter-switch propagation delay as the
-	// lookahead window. Pods and groups are created contiguously, core
-	// tier last, so cuts land between them when Shards divides their
-	// count; a cut inside a pod is still correct, only its lookahead is
-	// the narrower intra-pod propagation. Same-seed runs produce
-	// byte-identical stats snapshots to the serial (Shards <= 1) build.
-	// The centralized services — Manager, Arbiter, Coherent, Agents,
-	// TraceFlits — are single-engine designs and must stay off under
-	// sharding; use SchedulePlan for deterministic fault injection
-	// instead of NewInjector.
+	// Shards is the number of failure domains the cluster runs as
+	// (<= 1 means one: the serial cluster). Each domain is a contiguous
+	// block of the generated switch sequence plus its attached
+	// endpoints (at most one domain per switch) and runs on a private
+	// engine; a sim.Coordinator synchronizes the domains conservatively
+	// with the inter-switch propagation delay as the lookahead window.
+	// Pods and groups are created contiguously, core tier last, so cuts
+	// land between them when Shards divides their count; a cut inside a
+	// pod is still correct, only its lookahead is the narrower
+	// intra-pod propagation. Same-seed runs produce byte-identical stats
+	// snapshots at every shard count. The centralized services —
+	// Manager, Arbiter, Coherent, Agents, TraceFlits — are single-engine
+	// designs and must stay off when Shards > 1; use SchedulePlan for
+	// deterministic fault injection instead of NewInjector.
 	Shards int
 
 	// Hooks to override component defaults (nil = defaults).
@@ -105,10 +105,12 @@ func DefaultConfig() Config {
 
 // Cluster is an assembled composable infrastructure.
 type Cluster struct {
-	Eng *sim.Engine
-	// Coord synchronizes the failure-domain engines (nil unless
-	// Config.Shards > 1). When set, Eng is domain 0's engine; workloads
+	// Eng is domain 0's engine, Coord.Engine(0): the whole cluster's
+	// engine when it runs as one domain. With more domains, workloads
 	// must schedule on their host's own engine (see host.Engine).
+	Eng *sim.Engine
+	// Coord synchronizes the failure-domain engines; Run and RunFor
+	// drive it, whatever the shard count.
 	Coord   *sim.Coordinator
 	Builder *fabric.Builder
 	Hosts   []*host.Host
@@ -174,40 +176,33 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 
-	var eng *sim.Engine
-	var b *fabric.Builder
-	var coord *sim.Coordinator
-	if cfg.Shards > 1 {
-		switch {
-		case cfg.Manager, cfg.Arbiter, cfg.Coherent, cfg.Agents, cfg.TraceFlits > 0:
-			return nil, fmt.Errorf("fcc: Shards > 1 cannot host the centralized services (Manager/Arbiter/Coherent/Agents/TraceFlits)")
-		case cfg.Shards > nsw:
-			return nil, fmt.Errorf("fcc: %d shards need at least that many switches, have %d", cfg.Shards, nsw)
-		}
-		// Default lookahead = the inter-switch propagation delay: every
-		// cross-domain interaction crosses a cut ISL, so no shard can
-		// affect another sooner than one propagation in the future. This
-		// is only the floor — fabric discovery then raises each shard
-		// pair to the minimum propagation over its actual cut links
-		// (the long-haul pod links, in a ring of pods) and releases
-		// pairs with no cut link entirely.
-		coord = sim.NewCoordinator(cfg.Shards, lcfg().Phys.Propagation)
-		b = fabric.NewShardedBuilder(fabric.Sharding{
-			Coord: coord,
-			// Contiguous blocks: switch i lands in domain
-			// i*Shards/switches, so only block boundaries cut.
-			DomainOf: func(i int) int { return i * cfg.Shards / nsw },
-		})
-		eng = coord.Engine(0)
-	} else {
-		eng = sim.NewEngine()
-		b = fabric.NewBuilder(eng)
+	shards := max(cfg.Shards, 1)
+	switch {
+	case shards > 1 && (cfg.Manager || cfg.Arbiter || cfg.Coherent || cfg.Agents || cfg.TraceFlits > 0):
+		return nil, fmt.Errorf("fcc: Shards > 1 cannot host the centralized services (Manager/Arbiter/Coherent/Agents/TraceFlits)")
+	case shards > nsw:
+		return nil, fmt.Errorf("fcc: %d shards need at least that many switches, have %d", shards, nsw)
 	}
+	// Default lookahead = the inter-switch propagation delay: every
+	// cross-domain interaction crosses a cut ISL, so no shard can
+	// affect another sooner than one propagation in the future. This
+	// is only the floor — fabric discovery then raises each shard
+	// pair to the minimum propagation over its actual cut links
+	// (the long-haul pod links, in a ring of pods) and releases
+	// pairs with no cut link entirely.
+	coord := sim.NewCoordinator(shards, lcfg().Phys.Propagation)
+	b := fabric.NewShardedBuilder(fabric.Sharding{
+		Coord: coord,
+		// Contiguous blocks: switch i lands in domain
+		// i*shards/switches, so only block boundaries cut.
+		DomainOf: func(i int) int { return i * shards / nsw },
+	})
 	b.Reserve(nsw, nisl, endpoints)
 	topo, err := fabric.Generate(b, spec, scfg())
 	if err != nil {
 		return nil, err
 	}
+	eng := coord.Engine(0)
 	c := &Cluster{Eng: eng, Coord: coord, Builder: b, Topo: topo, cfg: cfg}
 	hostSwitch := func(i int) *fabric.Switch { return topo.Hosts[i%len(topo.Hosts)] }
 	devSwitch := func(i int) *fabric.Switch { return topo.Edge[i%len(topo.Edge)] }
@@ -326,7 +321,7 @@ func (c *Cluster) NewHeap(h *host.Host, hcfg uheap.Config, localBytes uint64) (*
 // shared engine; calling them on a sharded cluster would silently mix
 // engines across shard goroutines.
 func (c *Cluster) requireUnsharded(what string) {
-	if c.Coord != nil {
+	if c.Coord.Shards() > 1 {
 		panic(fmt.Sprintf("fcc: %s requires an unsharded cluster (Shards <= 1)", what))
 	}
 }
@@ -334,8 +329,8 @@ func (c *Cluster) requireUnsharded(what string) {
 // NewETrans builds an elastic transaction engine for host h, registered
 // with every migration agent (and the arbiter when present).
 func (c *Cluster) NewETrans(h *host.Host) *etrans.Engine {
-	c.requireUnsharded("NewETrans")
-	e := etrans.NewEngine(c.Eng, h.Endpoint())
+	c.requireUnsharded("NewETrans (use etrans.NewEngine(h.Engine(), h.Endpoint()))")
+	e := etrans.NewEngine(h.Engine(), h.Endpoint())
 	for i, a := range c.Agents {
 		e.AddAgent(a.ID(), c.FAMs[i].ID())
 		if c.Arbiter != nil {
@@ -351,9 +346,9 @@ func (c *Cluster) NewETrans(h *host.Host) *etrans.Engine {
 // NewTaskRunner builds an idempotent-task runner on host h, with one
 // local engine and one engine per FAA.
 func (c *Cluster) NewTaskRunner(h *host.Host, seed uint64) *task.Runner {
-	c.requireUnsharded("NewTaskRunner")
-	r := task.NewRunner(c.Eng, h.Endpoint())
-	r.AddEngine(task.NewLocalEngine(c.Eng, h.Name()+"-cpu", seed))
+	c.requireUnsharded("NewTaskRunner (use task.NewRunner(h.Engine(), h.Endpoint()) with engines in h's domain)")
+	r := task.NewRunner(h.Engine(), h.Endpoint())
+	r.AddEngine(task.NewLocalEngine(h.Engine(), h.Name()+"-cpu", seed))
 	for _, d := range c.FAAs {
 		r.AddEngine(faa.NewEngine(d))
 	}
@@ -363,7 +358,7 @@ func (c *Cluster) NewTaskRunner(h *host.Host, seed uint64) *task.Runner {
 // NewCoherenceClient registers host h as a CC-NUMA participant of the
 // directory fronting FAM i (the cluster must be built Coherent).
 func (c *Cluster) NewCoherenceClient(h *host.Host, fam int, ccfg coherence.ClientConfig) *coherence.Client {
-	return coherence.NewClient(c.Eng, h, c.Dirs[fam].ID(), ccfg)
+	return coherence.NewClient(h.Engine(), h, c.Dirs[fam].ID(), ccfg)
 }
 
 // ArbiterClient returns an arbiter client for host h.
@@ -498,7 +493,7 @@ func (c *Cluster) SchedulePlan(plan []FaultEvent) error {
 }
 
 func (c *Cluster) scheduleSide(ev FaultEvent, l *link.Link, domain, side int) {
-	c.domainEngine(domain).At(ev.At, func() {
+	c.Coord.Engine(domain).At(ev.At, func() {
 		var err error
 		if ev.Heal {
 			err = l.HealFaultSide(side, ev.Fault.Kind)
@@ -509,13 +504,6 @@ func (c *Cluster) scheduleSide(ev FaultEvent, l *link.Link, domain, side int) {
 			panic(fmt.Sprintf("fcc: fault plan on link %s: %v", ev.Link, err))
 		}
 	})
-}
-
-func (c *Cluster) domainEngine(d int) *sim.Engine {
-	if c.Coord == nil {
-		return c.Eng
-	}
-	return c.Coord.Engine(d)
 }
 
 func (c *Cluster) findLink(name string) *link.Link {
@@ -535,26 +523,18 @@ func (c *Cluster) findLink(name string) *link.Link {
 // Render draws the topology (the Figure 1b regeneration).
 func (c *Cluster) Render() string { return c.Builder.Render() }
 
-// Run drains the simulation (all shards, when sharded).
-func (c *Cluster) Run() {
-	if c.Coord != nil {
-		c.Coord.Run()
-		return
-	}
-	c.Eng.Run()
-}
+// Run drains the simulation on every domain, or returns early when a
+// model calls Stop on any domain's engine; a later Run resumes it.
+// Afterwards every engine's clock reads the time of the last event
+// fired anywhere.
+func (c *Cluster) Run() { c.Coord.Run() }
 
-// RunFor advances the simulation by d (all shards, when sharded).
-func (c *Cluster) RunFor(d sim.Time) {
-	if c.Coord != nil {
-		c.Coord.RunFor(d)
-		return
-	}
-	c.Eng.RunFor(d)
-}
+// RunFor advances the simulation on every domain by d.
+func (c *Cluster) RunFor(d sim.Time) { c.Coord.RunFor(d) }
 
-// Go starts a workload process on the shared engine. On a sharded
-// cluster, spawn processes on the owning host's engine instead:
+// Go starts a workload process on Eng, the one-domain cluster's only
+// engine. On a sharded cluster, spawn processes on the owning host's
+// engine instead:
 // c.Hosts[i].Engine().Go(...) — a workload touching a host from
 // another shard's engine is a race.
 func (c *Cluster) Go(name string, fn func(p *sim.Proc)) *sim.Proc {

@@ -9,7 +9,10 @@ import (
 // multi-pod workload (ShardScaleConfig, E12) across shard counts —
 // the number the barrier/lookahead overhaul exists to move. Each
 // iteration is one complete run: build the 8-pod cluster, stream the
-// host workload, drain.
+// host workload, drain. shards=1 is the serial cluster itself — every
+// cluster runs on a coordinator, the serial one with a single domain
+// and one round per Run — so it is the baseline the others are read
+// against.
 //
 // Interpretation depends on GOMAXPROCS (recorded in the benchmark name
 // suffix and in BENCH_*.json): with one P the coordinator falls back to

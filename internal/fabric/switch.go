@@ -46,8 +46,9 @@ type Switch struct {
 	name string
 	cfg  SwitchConfig
 	// idx is the switch's creation index in its Builder — the dense key
-	// the route engine uses instead of a map[*Switch]int.
-	idx int
+	// the route engine uses instead of a map[*Switch]int — and domain
+	// the failure domain (shard) it was assigned to.
+	idx, domain int
 
 	ports []*swPort
 

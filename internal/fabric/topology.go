@@ -64,7 +64,6 @@ type Attachment struct {
 // switch, exactly as the paper describes the FM "filling up the
 // switching table" (§2.1).
 type Builder struct {
-	eng        *sim.Engine
 	switches   []*Switch
 	links      []*isl
 	attached   []*Attachment
@@ -83,12 +82,14 @@ type Builder struct {
 	// distance vectors for incremental fault repair.
 	re routeEngine
 
-	// Sharded assembly (nil for the classic single-engine fabric): each
-	// switch and its attached endpoints live in one failure domain with
-	// a private engine; inter-switch links whose ends fall in different
-	// domains become cross-shard links synchronized by the coordinator.
-	shard    *Sharding
-	swDomain map[*Switch]int
+	// Failure domains: each switch and its attached endpoints live in
+	// one domain, engines[d] runs domain d, and domainOf maps a switch's
+	// creation index to its domain. Inter-switch links whose ends fall
+	// in different domains become cross-shard links synchronized by
+	// coord — nil only on a one-engine builder, which has no such link.
+	engines  []*sim.Engine
+	coord    *sim.Coordinator
+	domainOf func(switchIdx int) int
 }
 
 // Sharding partitions a fabric across the failure domains of a
@@ -110,9 +111,9 @@ type isl struct {
 	prop         sim.Time // wire propagation delay, for lookahead discovery
 }
 
-// NewBuilder returns an empty topology bound to eng.
+// NewBuilder returns an empty one-domain topology bound to eng.
 func NewBuilder(eng *sim.Engine) *Builder {
-	return &Builder{eng: eng}
+	return &Builder{engines: []*sim.Engine{eng}, domainOf: func(int) int { return 0 }}
 }
 
 // Reserve preallocates the builder's switch, link, and attachment
@@ -135,45 +136,22 @@ func (b *Builder) Reserve(switches, isls, endpoints int) {
 	}
 }
 
-// NewShardedBuilder returns a topology partitioned across sh's domains.
-// The builder's base engine is domain 0's; every switch and endpoint is
-// created on its own domain's engine.
+// NewShardedBuilder returns a topology partitioned across sh's domains:
+// every switch and endpoint is created on its own domain's engine.
 func NewShardedBuilder(sh Sharding) *Builder {
-	return &Builder{
-		eng:      sh.Coord.Engine(0),
-		shard:    &sh,
-		swDomain: make(map[*Switch]int),
+	b := &Builder{coord: sh.Coord, domainOf: sh.DomainOf}
+	for i := 0; i < sh.Coord.Shards(); i++ {
+		b.engines = append(b.engines, sh.Coord.Engine(i))
 	}
+	return b
 }
 
-// Domain reports the failure domain a switch was assigned to (0 on an
-// unsharded builder).
-func (b *Builder) Domain(sw *Switch) int {
-	if b.shard == nil {
-		return 0
-	}
-	return b.swDomain[sw]
-}
-
-// engineFor returns the engine a switch's domain runs on.
-func (b *Builder) engineFor(sw *Switch) *sim.Engine {
-	if b.shard == nil {
-		return b.eng
-	}
-	return b.shard.Coord.Engine(b.swDomain[sw])
-}
-
-// AddSwitch creates a switch (on its domain's engine when sharded).
+// AddSwitch creates a switch on its domain's engine.
 func (b *Builder) AddSwitch(name string, cfg SwitchConfig) *Switch {
-	eng := b.eng
-	var dom int
-	if b.shard != nil {
-		dom = b.shard.DomainOf(len(b.switches))
-		if dom < 0 || dom >= b.shard.Coord.Shards() {
-			panic(fmt.Sprintf("fabric: DomainOf(%d) = %d out of range [0,%d)",
-				len(b.switches), dom, b.shard.Coord.Shards()))
-		}
-		eng = b.shard.Coord.Engine(dom)
+	dom := b.domainOf(len(b.switches))
+	if dom < 0 || dom >= len(b.engines) {
+		panic(fmt.Sprintf("fabric: DomainOf(%d) = %d out of range [0,%d)",
+			len(b.switches), dom, len(b.engines)))
 	}
 	var sw *Switch
 	if len(b.swArena) < cap(b.swArena) {
@@ -182,12 +160,9 @@ func (b *Builder) AddSwitch(name string, cfg SwitchConfig) *Switch {
 	} else {
 		sw = new(Switch)
 	}
-	initSwitch(sw, eng, name, cfg)
-	sw.idx = len(b.switches)
+	initSwitch(sw, b.engines[dom], name, cfg)
+	sw.idx, sw.domain = len(b.switches), dom
 	b.switches = append(b.switches, sw)
-	if b.shard != nil {
-		b.swDomain[sw] = dom
-	}
 	return sw
 }
 
@@ -201,8 +176,8 @@ func (b *Builder) ConnectSwitches(x, y *Switch, cfg link.Config) error {
 	name := fmt.Sprintf("%s<->%s", x.name, y.name)
 	var l *link.Link
 	var err error
-	if dx, dy := b.Domain(x), b.Domain(y); b.shard != nil && dx != dy {
-		co := b.shard.Coord
+	if dx, dy := x.domain, y.domain; dx != dy {
+		co := b.coord
 		if cfg.Phys.Propagation < co.Window() {
 			return fmt.Errorf("fabric: cross-domain link %s propagation %v below the coordinator lookahead window %v",
 				name, cfg.Phys.Propagation, co.Window())
@@ -210,7 +185,7 @@ func (b *Builder) ConnectSwitches(x, y *Switch, cfg link.Config) error {
 		l, err = link.NewCross(name, cfg, co.Engine(dx), co.Engine(dy),
 			co.Mailbox(dx, dy), co.Mailbox(dy, dx))
 	} else {
-		l, err = link.New(b.engineFor(x), name, cfg)
+		l, err = link.New(b.engines[dx], name, cfg)
 	}
 	if err != nil {
 		return err
@@ -236,7 +211,7 @@ func (b *Builder) AttachEndpoint(sw *Switch, name string, role Role, cfg link.Co
 	if b.nextID > flit.MaxPortID {
 		return nil, fmt.Errorf("fabric: PBR ID space exhausted (12-bit, max %d endpoints)", flit.MaxPortID+1)
 	}
-	eng := b.engineFor(sw)
+	eng := b.engines[sw.domain]
 	l, err := link.New(eng, fmt.Sprintf("%s<->%s", name, sw.name), cfg)
 	if err != nil {
 		return nil, err
@@ -257,7 +232,7 @@ func (b *Builder) AttachEndpoint(sw *Switch, name string, role Role, cfg link.Co
 		Link:       l,
 		Switch:     sw,
 		SwitchPort: swPortIdx,
-		Domain:     b.Domain(sw),
+		Domain:     sw.domain,
 		Eng:        eng,
 	}
 	b.nextID++
@@ -276,9 +251,7 @@ func (b *Builder) Discover() error {
 		return fmt.Errorf("fabric: no endpoints attached")
 	}
 	b.InstallRoutesFull(DeadSet{})
-	if b.shard != nil {
-		b.installLookahead()
-	}
+	b.installLookahead()
 	b.discovered = true
 	return nil
 }
@@ -293,13 +266,13 @@ func (b *Builder) Discover() error {
 // is orders of magnitude wider than the coordinator's default window,
 // which is what lets pod-aligned shards run wide rounds. Pairs with no
 // cut link at all can never exchange a message and are released to
-// sim.MaxTime so they impose no coupling.
+// sim.MaxTime so they impose no coupling. A one-domain fabric has no
+// pair to declare.
 func (b *Builder) installLookahead() {
-	co := b.shard.Coord
-	n := co.Shards()
+	n := len(b.engines)
 	min := make([]sim.Time, n*n) // 0 = no cut link seen for the pair
 	for _, l := range b.links {
-		da, db := b.Domain(l.a), b.Domain(l.b)
+		da, db := l.a.domain, l.b.domain
 		if da == db {
 			continue
 		}
@@ -315,9 +288,9 @@ func (b *Builder) installLookahead() {
 				continue
 			}
 			if m := min[src*n+dst]; m > 0 {
-				co.SetLookahead(src, dst, m)
+				b.coord.SetLookahead(src, dst, m)
 			} else {
-				co.SetLookahead(src, dst, sim.MaxTime)
+				b.coord.SetLookahead(src, dst, sim.MaxTime)
 			}
 		}
 	}
@@ -834,7 +807,7 @@ func (b *Builder) RouteTableDump() string {
 func (b *Builder) LinkSideDomains(l *link.Link) (da, db int, ok bool) {
 	for _, rec := range b.links {
 		if rec.link == l {
-			return b.Domain(rec.a), b.Domain(rec.b), true
+			return rec.a.domain, rec.b.domain, true
 		}
 	}
 	for _, att := range b.attached {

@@ -113,7 +113,7 @@ func (c *Coordinator) workerLoop(shard int, w *coordWorker, epoch uint64, total 
 			c.arrive(total)
 			return
 		}
-		e.RunUntil(c.wlimits[shard])
+		e.runLimit(c.wlimits[shard])
 		c.arrive(total)
 	}
 }

@@ -378,3 +378,106 @@ func TestCoordinatorProcsAwaitMailboxFutures(t *testing.T) {
 			&shardNet{domains: domains, trace: n.trace})
 	}
 }
+
+// TestCoordinatorStop pins Stop under the coordinator: a model that
+// stops its engine makes Run return after the stopping event, and the
+// next Run resumes exactly there — the same fire and message counts and
+// the same final clocks as an uninterrupted run — sequentially and with
+// worker goroutines, at one shard and at three.
+func TestCoordinatorStop(t *testing.T) {
+	const window = 100 * Nanosecond
+	const period = Microsecond
+	const horiz = 100 * Microsecond
+	defer func(old bool) { coordParallel = old }(coordParallel)
+	for _, shards := range []int{1, 3} {
+		for _, sequential := range []bool{true, false} {
+			coordParallel = !sequential
+			build := func() (*Coordinator, *tickNet) {
+				c := NewCoordinator(shards, window)
+				c.Sequential = sequential
+				return c, newTickNet(c, period, window, horiz, min(shards-1, 1)) // no self-sends
+			}
+			label := fmt.Sprintf("shards=%d sequential=%v", shards, sequential)
+
+			ref, refNet := build()
+			ref.Run()
+
+			c, n := build()
+			e0 := c.Engine(0)
+			e0.At(10*period+1, e0.Stop)
+			c.Run()
+			if n.fires[0] != 10 {
+				t.Fatalf("%s: first Run fired %d ticks on shard 0, want 10 (Stop ignored)", label, n.fires[0])
+			}
+			if got := e0.Now(); got != 10*period+1 {
+				t.Fatalf("%s: stopped engine reads %v, want the Stop event's time %v", label, got, 10*period+1)
+			}
+			c.Run()
+			for s := 0; s < shards; s++ {
+				if n.fires[s] != refNet.fires[s] || n.recv[s] != refNet.recv[s] {
+					t.Fatalf("%s: shard %d fired/recv %d/%d after resuming, uninterrupted run %d/%d",
+						label, s, n.fires[s], n.recv[s], refNet.fires[s], refNet.recv[s])
+				}
+				if got, want := c.Engine(s).Now(), ref.Engine(s).Now(); got != want {
+					t.Fatalf("%s: shard %d clock %v after resuming, uninterrupted run %v", label, s, got, want)
+				}
+			}
+			if shards > 1 && n.recv[1] == 0 {
+				t.Fatalf("%s: no cross-shard messages — model not exercising the mailboxes", label)
+			}
+		}
+	}
+}
+
+// TestCoordinatorClockAfterRun pins the clock rules between runs: after
+// Run drains, the coordinator and every engine read the time of the
+// last event fired in any shard (what one engine running the whole
+// model reads), and a later RunFor fires work scheduled from that clock
+// and advances every clock by exactly its argument.
+func TestCoordinatorClockAfterRun(t *testing.T) {
+	const last = 1234 * Nanosecond
+	for _, shards := range []int{1, 3} {
+		c := NewCoordinator(shards, 100*Nanosecond)
+		c.Engine(0).At(300*Nanosecond, func() {})
+		c.Engine(shards-1).At(last, func() {})
+		c.Run()
+		for s := 0; s < shards; s++ {
+			if got := c.Engine(s).Now(); got != last || c.Now() != last {
+				t.Fatalf("shards=%d: after Run shard %d reads %v, coordinator %v, want %v",
+					shards, s, got, c.Now(), last)
+			}
+		}
+		fired := false
+		c.Engine(0).After(50*Nanosecond, func() { fired = true })
+		c.RunFor(5 * Microsecond)
+		if !fired {
+			t.Fatalf("shards=%d: event scheduled after Run did not fire in RunFor", shards)
+		}
+		for s := 0; s < shards; s++ {
+			if got := c.Engine(s).Now(); got != last+5*Microsecond || c.Now() != got {
+				t.Fatalf("shards=%d: after RunFor shard %d reads %v, coordinator %v, want %v",
+					shards, s, got, c.Now(), last+5*Microsecond)
+			}
+		}
+	}
+}
+
+// TestCoordinatorZeroWindowOneShard pins NewCoordinator's window check:
+// the window only bounds cross-shard sends, so one domain — a serial
+// cluster whose links have zero propagation — accepts a zero window and
+// runs, while two domains refuse it.
+func TestCoordinatorZeroWindowOneShard(t *testing.T) {
+	c := NewCoordinator(1, 0)
+	fired := false
+	c.Engine(0).At(Nanosecond, func() { fired = true })
+	c.Run()
+	if !fired || c.Now() != Nanosecond {
+		t.Fatalf("one-shard zero-window run: fired=%v, clock %v", fired, c.Now())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewCoordinator(2, 0) did not panic")
+		}
+	}()
+	NewCoordinator(2, 0)
+}

@@ -540,6 +540,8 @@ func (e *Engine) NextAt() (at Time, ok bool) {
 }
 
 // Stop halts Run/RunUntil after the currently firing event returns.
+// On a Coordinator's engine it ends the coordinated run (see
+// Coordinator.Run).
 func (e *Engine) Stop() { e.stopped = true }
 
 // Events reports the total number of events fired so far.

@@ -43,12 +43,13 @@ import (
 //
 // # Execution
 //
-// Shard 0 runs on the caller's goroutine; shards 1..n-1 run on workers
-// (one per shard, spawned when a run starts and joined when it ends)
-// that rendezvous through an epoch-counter barrier with bounded
-// spin-then-park waiting (see barrier.go) — per round the
-// synchronization cost is a handful of atomic operations, not 2n
-// channel round trips and goroutine wakeups. A shard's process
+// One shard is the serial case: one engine, no mailboxes, and one round
+// per Run or RunUntil. Shard 0 runs on the caller's goroutine; shards
+// 1..n-1 run on workers (one per shard, spawned when a run starts and
+// joined when it ends) that rendezvous through an epoch-counter
+// barrier with bounded spin-then-park waiting (see barrier.go) — per
+// round the synchronization cost is a handful of atomic operations,
+// not 2n channel round trips and goroutine wakeups. A shard's process
 // coroutines are resumed by whichever goroutine runs its engine that
 // round: an iter.Pull coroutine is not tied to the goroutine that
 // created it, and the barrier orders one round's resumes before the
@@ -84,8 +85,8 @@ type Coordinator struct {
 	boxes   []*Mailbox // src*n+dst; nil until requested
 	front   []Time     // per-shard frontier: all events < front[i] fired
 	limits  []Time     // per-shard delivery floor (exclusive round end)
-	wlimits []Time     // per-shard RunUntil target for the current round
-	now     Time       // horizon reached by the last Run*/RunUntil call
+	wlimits []Time     // per-shard run limit (inclusive) for the current round
+	now     Time       // clock every domain agrees on between runs
 	merged  []Batch    // barrier merge scratch, recycled every round
 	windows uint64     // rounds synchronized (see Windows)
 	xmsgs   uint64     // cross-shard messages delivered (see Messages)
@@ -118,7 +119,7 @@ func NewCoordinator(n int, window Time) *Coordinator {
 	if n < 1 {
 		panic("sim: NewCoordinator needs at least one shard")
 	}
-	if window <= 0 {
+	if window <= 0 && n > 1 {
 		panic("sim: NewCoordinator window must be positive")
 	}
 	c := &Coordinator{window: window}
@@ -145,7 +146,9 @@ func (c *Coordinator) Window() Time { return c.window }
 // Engine returns shard i's private engine.
 func (c *Coordinator) Engine(i int) *Engine { return c.engines[i] }
 
-// Now reports the horizon the coordinator has advanced to.
+// Now reports the coordinated clock: the horizon of the last RunUntil
+// or RunFor, or — after Run — the time of the last event fired in any
+// shard.
 func (c *Coordinator) Now() Time { return c.now }
 
 // Windows reports the number of synchronization rounds run so far —
@@ -295,10 +298,15 @@ func (c *Coordinator) minFront() Time {
 // runWindows advances every shard to horizon t (inclusive), round by
 // round. When idle is true it additionally stops at the first barrier
 // where every engine is drained and no messages are in flight — the
-// multi-engine analogue of Engine.Run.
-func (c *Coordinator) runWindows(t Time, idle bool) {
+// multi-engine analogue of Engine.Run. A round runs each engine to its
+// limit without lifting its clock, so an engine's clock always reads
+// the last event it fired. runWindows reports false when a model
+// called Stop on any engine: that round's frontiers are not advanced
+// and its messages stay in their mailboxes, so the next run repeats
+// the same per-shard limits and resumes exactly where the Stop cut in.
+func (c *Coordinator) runWindows(t Time, idle bool) bool {
 	n := len(c.engines)
-	par := !c.Sequential && n > 1 && coordParallel
+	par := !c.Sequential && coordParallel
 	if par {
 		c.startWorkers()
 		defer c.stopWorkers()
@@ -326,14 +334,20 @@ func (c *Coordinator) runWindows(t Time, idle bool) {
 		}
 		if par {
 			c.releaseWorkers()
-			c.engines[0].RunUntil(c.wlimits[0])
+			c.engines[0].runLimit(c.wlimits[0])
 			c.awaitWorkers()
 		} else {
 			for i, e := range c.engines {
-				e.RunUntil(c.wlimits[i])
+				e.runLimit(c.wlimits[i])
 			}
 		}
 		c.windows++
+		for _, e := range c.engines {
+			if e.stopped {
+				c.now = c.latest()
+				return false
+			}
+		}
 		for i := range c.front {
 			if f := SaturatingAdd(c.wlimits[i], 1); f > c.front[i] {
 				c.front[i] = f
@@ -349,14 +363,7 @@ func (c *Coordinator) runWindows(t Time, idle bool) {
 				}
 			}
 			if drained {
-				lim := c.now
-				for _, wl := range c.wlimits {
-					if wl > lim {
-						lim = wl
-					}
-				}
-				c.now = lim
-				return
+				return true
 			}
 		}
 		// Idle jump: if every shard's next event is beyond its frontier,
@@ -379,18 +386,45 @@ func (c *Coordinator) runWindows(t Time, idle bool) {
 			}
 		}
 	}
+	return true
+}
+
+// latest reports the latest clock across the coordinator and its
+// engines: after a run, the time of the last event fired anywhere.
+func (c *Coordinator) latest() Time {
+	m := c.now
+	for _, e := range c.engines {
+		if e.now > m {
+			m = e.now
+		}
+	}
+	return m
+}
+
+// align ends a completed run: the coordinator, every engine clock and
+// every frontier read t, so between runs the domains agree on the time
+// and a model may schedule from it on any engine. All events before t
+// have fired; an engine already past t (driven directly) keeps its
+// clock.
+func (c *Coordinator) align(t Time) {
 	c.now = t
+	for i, e := range c.engines {
+		if t > e.now {
+			e.now = t
+		}
+		c.front[i] = t
+	}
 }
 
 // RunUntil advances every shard to time t: all events with timestamps
-// <= t fire, then every engine's clock reads t.
+// <= t fire, then every engine's clock reads t. A Stop leaves the clocks
+// at the last event each engine fired.
 func (c *Coordinator) RunUntil(t Time) {
 	if t < c.now {
 		return
 	}
-	c.runWindows(t, false)
-	for _, e := range c.engines {
-		e.RunUntil(t) // lift shards that went idle early up to the horizon
+	if c.runWindows(t, false) {
+		c.align(t)
 	}
 }
 
@@ -399,5 +433,12 @@ func (c *Coordinator) RunUntil(t Time) {
 func (c *Coordinator) RunFor(d Time) { c.RunUntil(SaturatingAdd(c.now, d)) }
 
 // Run advances the coordinated simulation until every shard's queue is
-// drained and no cross-shard messages are in flight.
-func (c *Coordinator) Run() { c.runWindows(MaxTime, true) }
+// drained and no cross-shard messages are in flight, or until a model
+// calls Stop on any engine. When it drains, every engine's clock reads
+// the time of the last event fired in any shard — what a single engine
+// running the whole model would read.
+func (c *Coordinator) Run() {
+	if c.runWindows(MaxTime, true) {
+		c.align(c.latest())
+	}
+}
