@@ -45,8 +45,9 @@ race:
 	$(GO) test -race ./...
 
 # shard-equiv is the parallel-determinism gate: the coordinator/mailbox
-# unit tests, the cluster-level Stop and clock-after-Run tests at 1, 2
-# and 4 shards, and the serial-vs-sharded byte-identical-snapshot suite,
+# unit tests, the cluster-level Stop, clock-after-Run and every-fault-
+# kind injector tests at 1, 2 and 4 shards, and the serial-vs-sharded
+# byte-identical-snapshot suite,
 # run under the race detector with -count=1 so a cached pass never
 # masks a fresh data race in the window-barrier machinery. The sim leg
 # runs at -cpu 1,4 and the root and exp legs pin GOMAXPROCS=4, so the
@@ -56,7 +57,7 @@ race:
 # sequential execution).
 shard-equiv:
 	$(GO) test -race -count=1 -cpu 1,4 -run 'Coordinator|Mailbox|Window' ./internal/sim/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestClusterClock|TestClusterStop' .
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestClusterClock|TestClusterStop|TestClusterInjectorShardEquiv' .
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSharded' ./internal/exp/
 
 # fabstore-equiv gates the E11 macro-benchmark's determinism claim: the

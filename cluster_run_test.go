@@ -1,12 +1,19 @@
 package fcc
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"fcc/internal/faa"
 	"fcc/internal/fabric"
+	"fcc/internal/fault"
+	"fcc/internal/flit"
 	"fcc/internal/sim"
+	"fcc/internal/txn"
 )
 
 // ringCluster builds a four-switch ring with one host per switch and a
@@ -128,7 +135,6 @@ func TestClusterShardGuards(t *testing.T) {
 		{"Go", "Hosts[i].Engine().Go", func(c *Cluster) any { return c.Go("g", func(*sim.Proc) {}) }},
 		{"NewETrans", "etrans.NewEngine", func(c *Cluster) any { return c.NewETrans(c.Hosts[0]) }},
 		{"NewTaskRunner", "task.NewRunner", func(c *Cluster) any { return c.NewTaskRunner(c.Hosts[0], 1) }},
-		{"NewInjector", "SchedulePlan", func(c *Cluster) any { return c.NewInjector(1) }},
 	}
 	for _, g := range guards {
 		for _, shards := range []int{0, 1, 2} {
@@ -154,4 +160,146 @@ func TestClusterShardGuards(t *testing.T) {
 			})
 		}
 	}
+}
+
+// injectorRun builds a four-switch ring with two FAMs and two FAAs and
+// no Manager, schedules one fault of every kind through NewInjector —
+// each cut ISL of the two-domain split carries one — and drives
+// RequestRetry streams and FAA invocations from every host on its own
+// engine. It returns the stats snapshot and the per-host
+// issued/committed/typed-error counts.
+func injectorRun(t *testing.T, shards int) (snap []byte, issued, committed, typed []int) {
+	t.Helper()
+	c, err := New(Config{
+		Hosts: 4, FAMs: 2, FAAs: 2, FAMCapacity: 1 << 24, Shards: shards,
+		Topology: &fabric.TopoSpec{Kind: fabric.TopoRing, Groups: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for hi, h := range c.Hosts {
+		// Off-lattice deadlines: a timeout tied with its response at one
+		// picosecond may resolve either way across shard counts
+		// (DESIGN.md, "Tie discipline").
+		h.Endpoint().Timeout = 25*sim.Microsecond + sim.Time(hi+1)*4241
+	}
+	for _, d := range c.FAAs {
+		d.NewFunction(1, "echo").On(0, func(hc *faa.HandlerCtx, payload []byte) ([]byte, error) {
+			hc.Compute(300 * sim.Nanosecond)
+			return payload, nil
+		})
+	}
+	var host2Link string
+	for _, att := range c.Builder.Attachments() {
+		if att.Name == "host2" {
+			host2Link = att.Link.Name()
+		}
+	}
+	in := c.NewInjector(5)
+	plan := fault.NewPlan("every-kind").
+		FlapLink(20*sim.Microsecond, "fs1<->fs2", 30*sim.Microsecond+333).
+		DegradeLanes(25*sim.Microsecond, "fs3<->fs0", 4, 60*sim.Microsecond+777).
+		LeakCredits(30*sim.Microsecond, host2Link, int(flit.ChMem), 6, 40*sim.Microsecond+101).
+		KillSwitch(45*sim.Microsecond, "fs1", 35*sim.Microsecond+59).
+		FailDevice(50*sim.Microsecond, c.FAMs[1].Name(), 0).
+		KillChassis(55*sim.Microsecond, c.FAAs[0].Name(), 25*sim.Microsecond+613).
+		Add(fault.Event{At: 95*sim.Microsecond + 211, Target: c.FAMs[1].Name(),
+			Fault: fault.Fault{Kind: fault.DeviceFail}, Heal: true})
+	if err := in.Schedule(plan); err != nil {
+		t.Fatal(err)
+	}
+
+	n := len(c.Hosts)
+	issued, committed, typed = make([]int, n), make([]int, n), make([]int, n)
+	account := func(hi int, err error) {
+		switch {
+		case err == nil:
+			committed[hi]++
+		case errors.Is(err, txn.ErrTimeout) || errors.Is(err, txn.ErrDeviceDown) || errors.Is(err, faa.ErrDeviceDown):
+			typed[hi]++
+		default:
+			t.Errorf("host%d: untyped failure: %v", hi, err)
+		}
+	}
+	for hi, h := range c.Hosts {
+		ep := h.Endpoint()
+		fam := c.FAMs[hi%2].ID()
+		h.Engine().Go(h.Name()+"/mem", func(p *sim.Proc) {
+			for op := 0; op < 60; op++ {
+				pkt := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd, Dst: fam,
+					Addr: uint64(hi)<<16 + uint64(op)*64, ReqLen: 64}
+				if op%3 == 2 {
+					pkt.Op, pkt.ReqLen, pkt.Size = flit.OpMemWr, 0, 64
+				}
+				issued[hi]++
+				_, err := ep.RequestRetry(pkt, 3, 20*sim.Microsecond).Await(p)
+				account(hi, err)
+				p.Sleep(sim.Microsecond + sim.Time(hi)*97)
+			}
+		})
+		dev := c.FAAs[hi%2].ID()
+		h.Engine().Go(h.Name()+"/faa", func(p *sim.Proc) {
+			for i := 0; i < 12; i++ {
+				p.Sleep(7*sim.Microsecond + sim.Time(hi)*131)
+				issued[hi]++
+				_, err := faa.InvokeP(p, ep, dev, 1, 0, []byte{byte(i)})
+				account(hi, err)
+			}
+		})
+	}
+	c.Run()
+	raw, err := c.Stats().Snapshot().MarshalJSONIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw, issued, committed, typed
+}
+
+// TestClusterInjectorShardEquiv is the serial ≡ sharded oracle for
+// every fault kind: one NewInjector plan, run at Shards 0 and 1 (one
+// domain) and at 2 and 4, must give byte-identical stats snapshots,
+// fault subtree included, with every transaction either committed or
+// failed with a typed error.
+func TestClusterInjectorShardEquiv(t *testing.T) {
+	var ref []byte
+	for _, shards := range []int{0, 1, 2, 4} {
+		snap, issued, committed, typed := injectorRun(t, shards)
+		for hi := range issued {
+			if issued[hi] != committed[hi]+typed[hi] {
+				t.Errorf("shards=%d host%d: issued %d != committed %d + typed %d",
+					shards, hi, issued[hi], committed[hi], typed[hi])
+			}
+		}
+		if ref == nil {
+			ref = snap
+			var s sim.StatsSnapshot
+			if err := json.Unmarshal(snap, &s); err != nil {
+				t.Fatal(err)
+			}
+			var fs *sim.StatsSnapshot
+			for _, ch := range s.Children {
+				if ch.Name == "fault" {
+					fs = ch
+				}
+			}
+			if fs == nil || fs.Counters["injected"] != 6 || fs.Counters["healed"] != 6 || fs.Gauges["active"] != 0 {
+				t.Fatalf("fault subtree %+v, want 6 injected, 6 healed, 0 active", fs)
+			}
+			continue
+		}
+		if !bytes.Equal(snap, ref) {
+			t.Errorf("shards=%d snapshot differs from serial:\n%s", shards, firstDiff(ref, snap))
+		}
+	}
+}
+
+// firstDiff renders the first differing line of two snapshots.
+func firstDiff(a, b []byte) string {
+	al, bl := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
+	for i := range min(len(al), len(bl)) {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("line %d: serial %q, sharded %q", i+1, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("lengths %d vs %d lines", len(al), len(bl))
 }

@@ -94,7 +94,7 @@ func main() {
 	fmt.Printf("runner attempts:   %d (failures retried: %d)\n",
 		runner.Attempts.Value(), runner.Failures.Value())
 	fmt.Printf("faults injected:   %d (healed: %d)\n",
-		inj.Injected.Value(), inj.Healed.Value())
+		inj.Injected(), inj.Healed())
 	if bad == 0 && runner.Failures.Value() > 0 {
 		fmt.Println("\nevery task survived chassis failures via snapshot re-execution")
 	}

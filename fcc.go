@@ -82,10 +82,10 @@ type Config struct {
 	// land between them when Shards divides their count; a cut inside a
 	// pod is still correct, only its lookahead is the narrower
 	// intra-pod propagation. Same-seed runs produce byte-identical stats
-	// snapshots at every shard count. The centralized services —
+	// snapshots at every shard count, faults scheduled through
+	// NewInjector or SchedulePlan included. The centralized services —
 	// Manager, Arbiter, Coherent, Agents, TraceFlits — are single-engine
-	// designs and must stay off when Shards > 1; use SchedulePlan for
-	// deterministic fault injection instead of NewInjector.
+	// designs and must stay off when Shards > 1.
 	Shards int
 
 	// Hooks to override component defaults (nil = defaults).
@@ -436,20 +436,18 @@ func (c *Cluster) Stats() *sim.Stats {
 
 // NewInjector builds a seeded fault injector with every failable
 // component of the cluster registered: all switches, all links
-// (inter-switch and endpoint), all FAMs, and all FAAs. The returned
-// injector is also stored as c.Faults so Stats() exports its
-// blast-radius metrics under the "fault" subtree.
+// (inter-switch and endpoint), all FAMs, and all FAAs. It works at
+// every shard count: each fault is applied on the engine of the domain
+// that owns it (each side's, for a cut link). The returned injector is
+// also stored as c.Faults so Stats() exports its blast-radius metrics,
+// summed over the domains, under the "fault" subtree.
 func (c *Cluster) NewInjector(seed uint64) *fault.Injector {
-	c.requireUnsharded("NewInjector (use SchedulePlan for sharded runs)")
-	in := fault.NewInjector(c.Eng, seed)
+	in := fault.NewInjector(seed)
 	for _, sw := range c.Builder.Switches() {
 		in.Register(sw)
 	}
-	for _, l := range c.Builder.ISLLinks() {
+	for _, l := range c.links() {
 		in.Register(l)
-	}
-	for _, att := range c.Builder.Attachments() {
-		in.Register(att.Link)
 	}
 	for _, f := range c.FAMs {
 		in.Register(f)
@@ -461,12 +459,19 @@ func (c *Cluster) NewInjector(seed uint64) *fault.Injector {
 	return in
 }
 
-// FaultEvent is one entry in a deterministic fault plan: at virtual
-// time At, inject Fault into (or, with Heal set, heal Fault.Kind on)
-// the named link. Plans are link-scoped because links are the only
-// components that can straddle a shard cut; the plan applies each
-// side's share on that side's own engine at the same virtual instant,
-// which keeps serial and sharded runs byte-identical.
+// links lists every link: inter-switch links in creation order, then
+// endpoint links in attachment order.
+func (c *Cluster) links() []*link.Link {
+	ls := c.Builder.ISLLinks()
+	for _, att := range c.Builder.Attachments() {
+		ls = append(ls, att.Link)
+	}
+	return ls
+}
+
+// FaultEvent is one entry in a link fault plan: at virtual time At,
+// inject Fault into (or, with Heal set, heal Fault.Kind on) the named
+// link. It is fault.Event field for field, addressed to a link.
 type FaultEvent struct {
 	At    sim.Time
 	Link  string
@@ -474,50 +479,23 @@ type FaultEvent struct {
 	Heal  bool
 }
 
-// SchedulePlan pre-schedules a fault plan against the cluster's links.
-// Unlike NewInjector it works on sharded clusters, adds no stats
-// subtree (snapshots stay comparable across serial and sharded runs),
-// and is fully deterministic: every event is pinned to a virtual
-// timestamp at build time.
+// SchedulePlan schedules a link fault plan through a fault.Injector
+// that sees only the links the plan names and, unlike NewInjector's,
+// adds no stats subtree.
 func (c *Cluster) SchedulePlan(plan []FaultEvent) error {
+	p := fault.NewPlan("links")
+	named := make(map[string]bool)
 	for _, ev := range plan {
-		l := c.findLink(ev.Link)
-		if l == nil {
-			return fmt.Errorf("fcc: fault plan names unknown link %q", ev.Link)
-		}
-		da, db, _ := c.Builder.LinkSideDomains(l)
-		c.scheduleSide(ev, l, da, 0)
-		c.scheduleSide(ev, l, db, 1)
+		p.Add(fault.Event{At: ev.At, Target: ev.Link, Fault: ev.Fault, Heal: ev.Heal})
+		named[ev.Link] = true
 	}
-	return nil
-}
-
-func (c *Cluster) scheduleSide(ev FaultEvent, l *link.Link, domain, side int) {
-	c.Coord.Engine(domain).At(ev.At, func() {
-		var err error
-		if ev.Heal {
-			err = l.HealFaultSide(side, ev.Fault.Kind)
-		} else {
-			err = l.InjectFaultSide(side, ev.Fault)
-		}
-		if err != nil {
-			panic(fmt.Sprintf("fcc: fault plan on link %s: %v", ev.Link, err))
-		}
-	})
-}
-
-func (c *Cluster) findLink(name string) *link.Link {
-	for _, l := range c.Builder.ISLLinks() {
-		if l.FaultID() == name {
-			return l
+	in := fault.NewInjector(0)
+	for _, l := range c.links() {
+		if named[l.Name()] {
+			in.Register(l)
 		}
 	}
-	for _, att := range c.Builder.Attachments() {
-		if att.Link.FaultID() == name {
-			return att.Link
-		}
-	}
-	return nil
+	return in.Schedule(p)
 }
 
 // Render draws the topology (the Figure 1b regeneration).

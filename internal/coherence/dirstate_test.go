@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fcc/internal/fabric"
+	"fcc/internal/fault"
 	"fcc/internal/host"
 	"fcc/internal/link"
 	"fcc/internal/mem"
@@ -129,8 +130,8 @@ func TestDirStateReadmissionAfterFault(t *testing.T) {
 
 	// Power-cycle the home device between the eviction and the re-read:
 	// the epoch bump must not disturb retired directory state.
-	fam.Fail()
-	fam.Recover()
+	fam.InjectFault(0, fault.Fault{Kind: fault.DeviceFail})
+	fam.HealFault(0, fault.DeviceFail)
 
 	eng.Go("readmit", func(p *sim.Proc) {
 		if got := cl.Read64P(p, addrA); got != 5 {

@@ -10,6 +10,7 @@ import (
 	"fcc/internal/faa"
 	"fcc/internal/fabric"
 	"fcc/internal/fabstore/workload"
+	"fcc/internal/fault"
 	"fcc/internal/flit"
 	"fcc/internal/host"
 	"fcc/internal/link"
@@ -417,17 +418,18 @@ func MIMOPipeline(frames int, injectFailures bool) MIMOResult {
 		runner.AddEngine(faa.NewEngine(d))
 	}
 	if injectFailures {
-		var inject func(round int)
-		inject = func(round int) {
-			if round > 50 {
-				return
-			}
-			victim := c.FAAs[round%2]
-			victim.Fail()
-			c.Eng.After(15*sim.Microsecond, func() { victim.Recover() })
-			c.Eng.After(35*sim.Microsecond, func() { inject(round + 1) })
+		// Kill the chassis alternately every 35us, each reviving 15us
+		// later, through an injector that exports no stats.
+		inj := fault.NewInjector(0)
+		inj.Register(c.FAAs[0], c.FAAs[1])
+		plan := fault.NewPlan("alternating-chassis-kill")
+		for round := 0; round <= 50; round++ {
+			plan.KillChassis(10*sim.Microsecond+sim.Time(round)*35*sim.Microsecond,
+				c.FAAs[round%2].Name(), 15*sim.Microsecond)
 		}
-		c.Eng.After(10*sim.Microsecond, func() { inject(0) })
+		if err := inj.Schedule(plan); err != nil {
+			panic(err)
+		}
 	}
 	res := runMIMO(c, runner, frames)
 	res.FAAFailovers = runner.Failures.Value()

@@ -7,10 +7,10 @@
 // paper cites). Functions are the hardware execution substrate for
 // idempotent tasks.
 //
-// The accelerator is also a passive failure domain: Fail() models a
-// chassis power loss — in-flight work dies and later invocations are
-// rejected until Recover() — which is what the idempotent-task runtime
-// recovers from.
+// The accelerator is also a passive failure domain: a ChassisKill fault
+// (InjectFault) models a chassis power loss — in-flight work dies and
+// later invocations are rejected until HealFault — which is what the
+// idempotent-task runtime recovers from.
 package faa
 
 import (
@@ -165,42 +165,31 @@ func (d *Device) NewFunction(id uint16, name string) *Function {
 	return f
 }
 
-// Fail models a chassis/power-domain failure: all in-flight handler
-// work is lost and new invocations are rejected until Recover.
-func (d *Device) Fail() {
-	d.down = true
-	d.epoch++
-}
-
-// Recover restores the chassis (volatile function state is gone).
-func (d *Device) Recover() {
-	d.down = false
-	for _, f := range d.funcs {
-		f.state = make(map[string][]byte)
-	}
-}
-
 // FaultID implements fault.Injectable: the chassis name.
 func (d *Device) FaultID() string { return d.name }
 
 // Supports reports that an FAA chassis can be killed.
 func (d *Device) Supports(k fault.Kind) bool { return k == fault.ChassisKill }
 
-// InjectFault implements fault.Injectable.
-func (d *Device) InjectFault(f fault.Fault) error {
-	if f.Kind != fault.ChassisKill {
-		return fmt.Errorf("faa: %s does not support %v", d.name, f.Kind)
-	}
-	d.Fail()
+// Sides reports the chassis's one side: its engine.
+func (d *Device) Sides() []*sim.Engine { return []*sim.Engine{d.eng} }
+
+// InjectFault implements fault.Injectable for the chassis's one kind
+// (see Supports): a chassis/power-domain failure. All in-flight handler
+// work is lost and new invocations are rejected until HealFault.
+func (d *Device) InjectFault(int, fault.Fault) error {
+	d.down = true
+	d.epoch++
 	return nil
 }
 
-// HealFault implements fault.Injectable.
-func (d *Device) HealFault(k fault.Kind) error {
-	if k != fault.ChassisKill {
-		return fmt.Errorf("faa: %s does not support %v", d.name, k)
+// HealFault implements fault.Injectable: the chassis restarts, with its
+// volatile function state gone.
+func (d *Device) HealFault(int, fault.Kind) error {
+	d.down = false
+	for _, f := range d.funcs {
+		f.state = make(map[string][]byte)
 	}
-	d.Recover()
 	return nil
 }
 

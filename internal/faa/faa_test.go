@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fcc/internal/fabric"
+	"fcc/internal/fault"
 	"fcc/internal/link"
 	"fcc/internal/mem"
 	"fcc/internal/sim"
@@ -191,6 +192,10 @@ func TestCoresBoundConcurrency(t *testing.T) {
 	}
 }
 
+// kill and revive apply and clear the chassis's one fault kind.
+func kill(d *Device)   { d.InjectFault(0, fault.Fault{Kind: fault.ChassisKill}) }
+func revive(d *Device) { d.HealFault(0, fault.ChassisKill) }
+
 func TestDeviceFailureRejectsAndKillsInFlight(t *testing.T) {
 	eng, ep, dev, _ := rig(t, DefaultConfig())
 	dev.NewFunction(1, "slow").On(0, func(c *HandlerCtx, in []byte) ([]byte, error) {
@@ -202,7 +207,7 @@ func TestDeviceFailureRejectsAndKillsInFlight(t *testing.T) {
 	eng.Go("driver", func(p *sim.Proc) {
 		f := Invoke(ep, dev.ID(), 1, 0, nil)
 		p.Sleep(2 * sim.Microsecond)
-		dev.Fail() // chassis dies mid-execution
+		kill(dev) // chassis dies mid-execution
 		inflightOut, inflightErr = f.Await(p)
 		_, afterErr = InvokeP(p, ep, dev.ID(), 1, 0, nil)
 	})
@@ -233,8 +238,8 @@ func TestRecoverClearsVolatileState(t *testing.T) {
 	eng.Go("driver", func(p *sim.Proc) {
 		InvokeP(p, ep, dev.ID(), 2, 0, nil)
 		InvokeP(p, ep, dev.ID(), 2, 0, nil)
-		dev.Fail()
-		dev.Recover()
+		kill(dev)
+		revive(dev)
 		after, _ = InvokeP(p, ep, dev.ID(), 2, 0, nil)
 	})
 	eng.Run()
@@ -294,8 +299,8 @@ func TestFAAEngineFailureRetriedByRunner(t *testing.T) {
 	var res *task.Result
 	eng.Go("driver", func(p *sim.Proc) { res = runner.SubmitP(p, tk) })
 	// Crash the chassis during the first attempt, recover soon after.
-	eng.At(3*sim.Microsecond, func() { dev.Fail() })
-	eng.At(6*sim.Microsecond, func() { dev.Recover() })
+	eng.At(3*sim.Microsecond, func() { kill(dev) })
+	eng.At(6*sim.Microsecond, func() { revive(dev) })
 	eng.Run()
 	if res == nil {
 		t.Fatal("task never completed")

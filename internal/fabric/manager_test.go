@@ -52,8 +52,8 @@ func ring4(t *testing.T) (*sim.Engine, *Builder, *txn.Endpoint, *txn.Endpoint, [
 
 // newInjector registers every switch and ISL of the ring with a fresh
 // injector.
-func newInjector(eng *sim.Engine, b *Builder, seed uint64) *fault.Injector {
-	in := fault.NewInjector(eng, seed)
+func newInjector(b *Builder, seed uint64) *fault.Injector {
+	in := fault.NewInjector(seed)
 	for _, sw := range b.Switches() {
 		in.Register(sw)
 	}
@@ -74,7 +74,7 @@ func TestManagerRoutesAroundEachSwitchKill(t *testing.T) {
 		t.Run(fmt.Sprintf("kill-fs%d", victim), func(t *testing.T) {
 			eng, b, h, d, sws := ring4(t)
 			m := NewManager(eng, b, DefaultManagerConfig())
-			in := newInjector(eng, b, 1)
+			in := newInjector(b, 1)
 			// The outage must outlast the whole retry budget (~110us: four
 			// 10us timeouts plus 10/20/40us backoffs), or bounded retry
 			// alone rides out even an endpoint-home switch kill and no
@@ -132,7 +132,7 @@ func TestManagerRoutesAroundEachSwitchKill(t *testing.T) {
 func TestManagerDetectsRecovery(t *testing.T) {
 	eng, b, h, d, sws := ring4(t)
 	m := NewManager(eng, b, DefaultManagerConfig())
-	in := newInjector(eng, b, 1)
+	in := newInjector(b, 1)
 	if err := in.Schedule(fault.NewPlan("flap").
 		KillSwitch(20*sim.Microsecond, sws[1].Name(), 50*sim.Microsecond)); err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func managerChaosRun(t *testing.T, seed uint64, mcfg ManagerConfig) ([]byte, *Ma
 	t.Helper()
 	eng, b, h, d, _ := ring4(t)
 	m := NewManager(eng, b, mcfg)
-	in := newInjector(eng, b, seed)
+	in := newInjector(b, seed)
 	plan := in.RandomPlan("chaos", 6, 150*sim.Microsecond,
 		fault.SwitchCrash, fault.LinkDown, fault.LaneDegrade)
 	if err := in.Schedule(plan); err != nil {

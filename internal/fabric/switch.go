@@ -84,7 +84,7 @@ type Switch struct {
 
 	// down marks a crashed switch: arriving and held packets are dropped
 	// (with their input buffers released, so upstream ports don't wedge
-	// past the crash) until Recover. downAt feeds time-to-recover
+	// past the crash) until HealFault. downAt feeds time-to-recover
 	// accounting in the fabric manager.
 	down   bool
 	downAt sim.Time
@@ -365,15 +365,17 @@ func (s *Switch) forward(op *swPort, pkt *flit.Packet, release func(), arrived s
 	s.Transit.ObserveTime(s.eng.Now() - arrived)
 }
 
-// Fail crashes the switch: every packet held under backpressure is
-// dropped (releasing its input buffer, so upstream senders see their
-// credits again rather than wedging forever), and packets arriving or
-// mid-crossbar are dropped until Recover. Routes are retained — a
-// recovered switch forwards again immediately, and the manager's next
-// reroute refreshes any table that went stale during the outage.
-func (s *Switch) Fail() {
+// InjectFault implements fault.Injectable for the switch's one kind
+// (see Supports): the switch crashes. Every packet held under
+// backpressure is dropped (releasing its input buffer, so upstream
+// senders see their credits again rather than wedging forever), and
+// packets arriving or mid-crossbar are dropped until HealFault. Routes
+// are retained — a recovered switch forwards again immediately, and the
+// manager's next reroute refreshes any table that went stale during the
+// outage.
+func (s *Switch) InjectFault(int, fault.Fault) error {
 	if s.down {
-		return
+		return nil
 	}
 	s.down = true
 	s.downAt = s.eng.Now()
@@ -389,10 +391,14 @@ func (s *Switch) Fail() {
 		s.recycle(h)()
 	}
 	s.pending = s.pending[:0]
+	return nil
 }
 
-// Recover restores a crashed switch.
-func (s *Switch) Recover() { s.down = false }
+// HealFault implements fault.Injectable: the crashed switch restarts.
+func (s *Switch) HealFault(int, fault.Kind) error {
+	s.down = false
+	return nil
+}
 
 // Down reports whether the switch is crashed — the fabric manager's
 // heartbeat sweep polls this.
@@ -411,23 +417,8 @@ func (s *Switch) FaultID() string { return s.name }
 // Supports reports that a switch can crash.
 func (s *Switch) Supports(k fault.Kind) bool { return k == fault.SwitchCrash }
 
-// InjectFault implements fault.Injectable.
-func (s *Switch) InjectFault(f fault.Fault) error {
-	if f.Kind != fault.SwitchCrash {
-		return fmt.Errorf("fabric: switch %s does not support %v", s.name, f.Kind)
-	}
-	s.Fail()
-	return nil
-}
-
-// HealFault implements fault.Injectable.
-func (s *Switch) HealFault(k fault.Kind) error {
-	if k != fault.SwitchCrash {
-		return fmt.Errorf("fabric: switch %s does not support %v", s.name, k)
-	}
-	s.Recover()
-	return nil
-}
+// Sides reports the switch's one side: its engine.
+func (s *Switch) Sides() []*sim.Engine { return []*sim.Engine{s.eng} }
 
 // ClearRoutes empties the PBR table ahead of a manager re-fill, keeping
 // the dense table's storage.

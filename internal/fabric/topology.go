@@ -49,9 +49,6 @@ type Attachment struct {
 	// Switch and SwitchPort identify where the endpoint attaches.
 	Switch     *Switch
 	SwitchPort int
-	// Domain is the failure domain (shard) the endpoint belongs to —
-	// its home switch's domain. Always 0 on an unsharded builder.
-	Domain int
 	// Eng is the engine the endpoint's model code must schedule on:
 	// its domain's private engine under sharding, the shared engine
 	// otherwise.
@@ -232,7 +229,6 @@ func (b *Builder) AttachEndpoint(sw *Switch, name string, role Role, cfg link.Co
 		Link:       l,
 		Switch:     sw,
 		SwitchPort: swPortIdx,
-		Domain:     sw.domain,
 		Eng:        eng,
 	}
 	b.nextID++
@@ -799,23 +795,6 @@ func (b *Builder) RouteTableDump() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// LinkSideDomains reports the failure domains of a link's two sides (A,
-// B). Endpoint links live wholly in their switch's domain; inter-switch
-// links may span two. ok is false for links the builder doesn't own.
-func (b *Builder) LinkSideDomains(l *link.Link) (da, db int, ok bool) {
-	for _, rec := range b.links {
-		if rec.link == l {
-			return rec.a.domain, rec.b.domain, true
-		}
-	}
-	for _, att := range b.attached {
-		if att.Link == l {
-			return att.Domain, att.Domain, true
-		}
-	}
-	return 0, 0, false
 }
 
 // ISLLinks lists the inter-switch links in creation order.

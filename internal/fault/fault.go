@@ -4,20 +4,24 @@
 // unified Injectable interface that every failable fabric component
 // implements — links (flap, lane degradation, credit leak), switches
 // (crash), FAM/pooled-memory devices (fail), and FAA chassis (kill) —
-// plus declarative, seed-reproducible FaultPlans and an Injector that
-// schedules them against a simulation engine.
+// plus declarative, seed-reproducible FaultPlans and an Injector, the
+// one way a fault is scheduled.
 //
 // Determinism is the design center: a plan is a list of (time, target,
-// fault) events executed by the discrete-event engine, and random plans
-// are generated from the injector's seeded RNG, so the same seed always
-// produces the same failure history — which is what makes blast-radius
-// measurements and route-around tests byte-reproducible.
+// fault) events, and random plans are generated from the injector's
+// seeded RNG, so the same seed always produces the same failure
+// history — which is what makes blast-radius measurements and
+// route-around tests byte-reproducible. Every inject and heal is armed
+// when the plan is scheduled, on the engine that owns each side of its
+// target, so a plan runs the same on one engine and on a cluster split
+// into failure domains.
 package fault
 
 import (
 	"fmt"
 	"sort"
 
+	"fcc/internal/flit"
 	"fcc/internal/sim"
 )
 
@@ -83,32 +87,62 @@ type Fault struct {
 	VC int
 }
 
+// Validate checks the parameters of f's kind: LaneDegrade needs
+// Factor >= 2, CreditLeak needs Credits > 0 and a VC in
+// [0, flit.NumChannels).
+func (f Fault) Validate() error {
+	switch {
+	case f.Kind == LaneDegrade && f.Factor < 2:
+		return fmt.Errorf("fault: lane degrade needs Factor >= 2, got %d", f.Factor)
+	case f.Kind == CreditLeak && f.Credits <= 0:
+		return fmt.Errorf("fault: credit leak needs Credits > 0, got %d", f.Credits)
+	case f.Kind == CreditLeak && (f.VC < 0 || f.VC >= flit.NumChannels):
+		return fmt.Errorf("fault: credit leak VC %d out of range", f.VC)
+	}
+	return nil
+}
+
 // Injectable is a fabric component that can host injected faults. Every
 // implementation must be addressable by a stable, unique FaultID so
 // declarative plans survive topology refactors.
+//
+// A component has one side per engine it runs on: a switch, FAM or FAA
+// has one, a link two (A, B), which may sit in different failure
+// domains. A fault is applied to every side, each on its own engine at
+// the same virtual instant — how the two ends of a severed cable notice
+// the cut on their own. Side 0 is the home side.
 type Injectable interface {
 	// FaultID is the stable name the injector addresses this component by
 	// (switch name, link name, chassis name).
 	FaultID() string
 	// Supports reports whether the component can host faults of kind k.
 	Supports(k Kind) bool
-	// InjectFault applies f. Unsupported kinds or bad parameters error.
-	InjectFault(f Fault) error
-	// HealFault clears the fault of kind k (a no-op if none is active).
-	HealFault(k Kind) error
+	// Sides reports the engine each side runs on, home side first.
+	Sides() []*sim.Engine
+	// InjectFault applies side's share of f. The Injector passes only
+	// kinds Supports accepts, with parameters Fault.Validate accepts;
+	// an error counts as an inject error.
+	InjectFault(side int, f Fault) error
+	// HealFault clears side's share of the fault of kind k (a no-op if
+	// none is active).
+	HealFault(side int, k Kind) error
 }
 
 // Event is one scheduled fault in a plan.
 type Event struct {
-	// At is the absolute simulation time of injection.
+	// At is the absolute simulation time of injection (or of healing,
+	// with Heal set).
 	At sim.Time
 	// Target is the FaultID of the component to fault.
 	Target string
 	// Fault is the condition to apply.
 	Fault Fault
 	// Duration, when > 0, schedules automatic healing at At+Duration;
-	// zero means the fault persists until healed explicitly.
+	// zero means the fault persists until a Heal event clears it.
 	Duration sim.Time
+	// Heal makes the event clear the oldest live fault of kind
+	// Fault.Kind on Target instead of injecting one.
+	Heal bool
 }
 
 // Plan is a declarative fault schedule. Build one with the fluent
@@ -171,7 +205,9 @@ func (p *Plan) String() string {
 	s := fmt.Sprintf("plan %q (%d events)\n", p.Name, len(p.Events))
 	for _, ev := range p.Events {
 		s += fmt.Sprintf("  t=%-12v %-12s %v", ev.At, ev.Fault.Kind, ev.Target)
-		if ev.Duration > 0 {
+		if ev.Heal {
+			s += " (heal)"
+		} else if ev.Duration > 0 {
 			s += fmt.Sprintf(" (heal after %v)", ev.Duration)
 		}
 		s += "\n"

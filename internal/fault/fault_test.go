@@ -7,15 +7,19 @@ import (
 	"fcc/internal/sim"
 )
 
-// fakeTarget is a minimal Injectable for driving the injector.
+// fakeTarget is a minimal Injectable for driving the injector: one
+// side per engine it is given.
 type fakeTarget struct {
 	id     string
+	engs   []*sim.Engine
 	kinds  map[Kind]bool
 	active map[Kind]bool
+	// failApply makes every InjectFault error after validation passed.
+	failApply bool
 }
 
-func newFake(id string, kinds ...Kind) *fakeTarget {
-	f := &fakeTarget{id: id, kinds: make(map[Kind]bool), active: make(map[Kind]bool)}
+func newFake(eng *sim.Engine, id string, kinds ...Kind) *fakeTarget {
+	f := &fakeTarget{id: id, engs: []*sim.Engine{eng}, kinds: make(map[Kind]bool), active: make(map[Kind]bool)}
 	for _, k := range kinds {
 		f.kinds[k] = true
 	}
@@ -24,16 +28,17 @@ func newFake(id string, kinds ...Kind) *fakeTarget {
 
 func (f *fakeTarget) FaultID() string      { return f.id }
 func (f *fakeTarget) Supports(k Kind) bool { return f.kinds[k] }
+func (f *fakeTarget) Sides() []*sim.Engine { return f.engs }
 
-func (f *fakeTarget) InjectFault(ft Fault) error {
-	if !f.kinds[ft.Kind] {
-		return errTest("unsupported " + ft.Kind.String())
+func (f *fakeTarget) InjectFault(_ int, ft Fault) error {
+	if !f.kinds[ft.Kind] || f.failApply {
+		return errTest("cannot apply " + ft.Kind.String())
 	}
 	f.active[ft.Kind] = true
 	return nil
 }
 
-func (f *fakeTarget) HealFault(k Kind) error {
+func (f *fakeTarget) HealFault(_ int, k Kind) error {
 	if !f.kinds[k] {
 		return errTest("unsupported " + k.String())
 	}
@@ -47,8 +52,8 @@ func (e errTest) Error() string { return string(e) }
 
 func TestScheduleAppliesAndAutoHeals(t *testing.T) {
 	eng := sim.NewEngine()
-	in := NewInjector(eng, 1)
-	tgt := newFake("sw0", SwitchCrash)
+	in := NewInjector(1)
+	tgt := newFake(eng, "sw0", SwitchCrash)
 	in.Register(tgt)
 
 	plan := NewPlan("one-crash").KillSwitch(100*sim.Nanosecond, "sw0", 50*sim.Nanosecond)
@@ -67,20 +72,22 @@ func TestScheduleAppliesAndAutoHeals(t *testing.T) {
 	if tgt.active[SwitchCrash] {
 		t.Fatal("fault still active after auto-heal")
 	}
-	if in.Injected.Value() != 1 || in.Healed.Value() != 1 || in.InjectErrors.Value() != 0 {
+	if in.Injected() != 1 || in.Healed() != 1 || in.InjectErrors() != 0 {
 		t.Fatalf("injected/healed/errors = %d/%d/%d, want 1/1/0",
-			in.Injected.Value(), in.Healed.Value(), in.InjectErrors.Value())
+			in.Injected(), in.Healed(), in.InjectErrors())
 	}
-	if in.ActiveNs.Count() != 1 || in.ActiveNs.Mean() != 50 {
-		t.Fatalf("fault lifetime histogram: count %d mean %.0fns, want 1/50ns",
-			in.ActiveNs.Count(), in.ActiveNs.Mean())
+	if h := in.ActiveNs(); h.Count() != 1 || h.Mean() != 50 {
+		t.Fatalf("fault lifetime histogram: count %d mean %.0fns, want 1/50ns", h.Count(), h.Mean())
 	}
 }
 
+// TestZeroDurationFaultPersists pins that a zero-duration fault stays
+// until a Heal event clears it, and that the heal records the fault's
+// real lifetime — the time since its inject, not zero.
 func TestZeroDurationFaultPersists(t *testing.T) {
 	eng := sim.NewEngine()
-	in := NewInjector(eng, 1)
-	tgt := newFake("fam0", DeviceFail)
+	in := NewInjector(1)
+	tgt := newFake(eng, "fam0", DeviceFail)
 	in.Register(tgt)
 	if err := in.Schedule(NewPlan("p").FailDevice(10*sim.Nanosecond, "fam0", 0)); err != nil {
 		t.Fatal(err)
@@ -89,18 +96,27 @@ func TestZeroDurationFaultPersists(t *testing.T) {
 	if !tgt.active[DeviceFail] {
 		t.Fatal("zero-duration fault healed itself")
 	}
-	if err := in.Heal("fam0", DeviceFail); err != nil {
+	heal := NewPlan("heal").Add(Event{At: 500 * sim.Nanosecond, Target: "fam0",
+		Fault: Fault{Kind: DeviceFail}, Heal: true})
+	if err := in.Schedule(heal); err != nil {
 		t.Fatal(err)
 	}
+	eng.Run()
 	if tgt.active[DeviceFail] {
-		t.Fatal("explicit heal did not clear the fault")
+		t.Fatal("heal event did not clear the fault")
+	}
+	if in.Healed() != 1 || in.Active() != 0 {
+		t.Fatalf("healed/active = %d/%d, want 1/0", in.Healed(), in.Active())
+	}
+	if h := in.ActiveNs(); h.Count() != 1 || h.Mean() != 490 {
+		t.Fatalf("fault lifetime histogram: count %d mean %.0fns, want 1/490ns", h.Count(), h.Mean())
 	}
 }
 
 func TestScheduleValidatesUpFront(t *testing.T) {
 	eng := sim.NewEngine()
-	in := NewInjector(eng, 1)
-	in.Register(newFake("sw0", SwitchCrash))
+	in := NewInjector(1)
+	in.Register(newFake(eng, "sw0", SwitchCrash))
 
 	if err := in.Schedule(NewPlan("p").KillSwitch(0, "nope", 0)); err == nil ||
 		!strings.Contains(err.Error(), "unknown target") {
@@ -119,41 +135,108 @@ func TestScheduleValidatesUpFront(t *testing.T) {
 	eng.Run()
 }
 
+// TestScheduleRejectsBadParameters pins Fault.Validate at schedule
+// time: a fault whose parameters its target would refuse errors there,
+// instead of passing and then failing silently when it fires.
+func TestScheduleRejectsBadParameters(t *testing.T) {
+	eng := sim.NewEngine()
+	in := NewInjector(1)
+	in.Register(newFake(eng, "l0", LinkDown, LaneDegrade, CreditLeak))
+	for _, c := range []struct {
+		name string
+		plan *Plan
+	}{
+		{"factor 1", NewPlan("p").DegradeLanes(10, "l0", 1, 0)},
+		{"zero credits", NewPlan("p").LeakCredits(10, "l0", 0, 0, 0)},
+		{"VC too high", NewPlan("p").LeakCredits(10, "l0", 99, 1, 0)},
+		{"VC negative", NewPlan("p").LeakCredits(10, "l0", -1, 1, 0)},
+	} {
+		if err := in.Schedule(c.plan); err == nil {
+			t.Errorf("%s: Schedule accepted %+v", c.name, c.plan.Events[0].Fault)
+		}
+	}
+	// A heal names only a kind: its parameters are not checked.
+	heal := NewPlan("p").Add(Event{At: 10, Target: "l0", Fault: Fault{Kind: LaneDegrade}, Heal: true})
+	if err := in.Schedule(heal); err != nil {
+		t.Fatalf("heal event rejected: %v", err)
+	}
+	eng.Run()
+	if in.Injected() != 0 || in.InjectErrors() != 0 {
+		t.Fatalf("injected/errors = %d/%d, want 0/0", in.Injected(), in.InjectErrors())
+	}
+}
+
 func TestDuplicateRegistrationPanics(t *testing.T) {
-	in := NewInjector(sim.NewEngine(), 1)
-	in.Register(newFake("sw0", SwitchCrash))
+	eng := sim.NewEngine()
+	in := NewInjector(1)
+	in.Register(newFake(eng, "sw0", SwitchCrash))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate FaultID registration did not panic")
 		}
 	}()
-	in.Register(newFake("sw0", SwitchCrash))
+	in.Register(newFake(eng, "sw0", SwitchCrash))
 }
 
+// TestInjectErrorsAreCounted drives a target that refuses a valid
+// fault when it fires: the error is counted, not silently dropped, and
+// the fault's automatic heal is skipped, since nothing is live.
 func TestInjectErrorsAreCounted(t *testing.T) {
 	eng := sim.NewEngine()
-	in := NewInjector(eng, 1)
-	tgt := newFake("l0", LinkDown)
+	in := NewInjector(1)
+	tgt := newFake(eng, "l0", LinkDown)
+	tgt.failApply = true
 	in.Register(tgt)
-	// Direct Inject bypasses Schedule's validation, so a bad kind reaches
-	// the target and the error is counted, not silently dropped.
-	if err := in.Inject("l0", Fault{Kind: SwitchCrash}); err == nil {
-		t.Fatal("unsupported inject succeeded")
+	if err := in.Schedule(NewPlan("p").FlapLink(10, "l0", 100)); err != nil {
+		t.Fatal(err)
 	}
-	if in.InjectErrors.Value() != 1 || in.Injected.Value() != 0 {
-		t.Fatalf("errors/injected = %d/%d, want 1/0", in.InjectErrors.Value(), in.Injected.Value())
+	eng.Run()
+	if in.InjectErrors() != 1 || in.Injected() != 0 || in.Healed() != 0 || in.Active() != 0 {
+		t.Fatalf("errors/injected/healed/active = %d/%d/%d/%d, want 1/0/0/0",
+			in.InjectErrors(), in.Injected(), in.Healed(), in.Active())
+	}
+}
+
+// TestTwoSidedTargetCountsOnce pins the per-side contract: a target
+// with a side on each of two engines gets every inject and heal on
+// both, each on its own engine at the same instant, while the
+// blast-radius stats count each event once.
+func TestTwoSidedTargetCountsOnce(t *testing.T) {
+	a, b := sim.NewEngine(), sim.NewEngine()
+	in := NewInjector(1)
+	tgt := newFake(a, "l0", LinkDown)
+	tgt.engs = append(tgt.engs, b)
+	in.Register(tgt)
+	if err := in.Schedule(NewPlan("p").FlapLink(100, "l0", 50)); err != nil {
+		t.Fatal(err)
+	}
+	a.Run()
+	b.Run()
+	if a.Now() != 150 || b.Now() != 150 || tgt.active[LinkDown] {
+		t.Fatalf("sides ended at %v and %v, fault active %v; want both healed at 150",
+			a.Now(), b.Now(), tgt.active[LinkDown])
+	}
+	st := sim.NewStats("fault")
+	in.RegisterStats(st)
+	snap := st.Snapshot()
+	if snap.Counters["injected"] != 1 || snap.Counters["healed"] != 1 || snap.Gauges["active"] != 0 {
+		t.Fatalf("counters %v gauges %v, want injected 1, healed 1, active 0", snap.Counters, snap.Gauges)
+	}
+	if h := snap.Histograms["fault_active_ns"]; h.Count != 1 {
+		t.Fatalf("fault_active_ns has %d samples, want 1", h.Count)
 	}
 }
 
 func TestRandomPlanIsSeedDeterministic(t *testing.T) {
 	build := func(seed uint64) string {
-		in := NewInjector(sim.NewEngine(), seed)
+		eng := sim.NewEngine()
+		in := NewInjector(seed)
 		in.Register(
-			newFake("sw0", SwitchCrash),
-			newFake("sw1", SwitchCrash),
-			newFake("l0", LinkDown, LaneDegrade, CreditLeak),
-			newFake("fam0", DeviceFail),
-			newFake("faa0", ChassisKill),
+			newFake(eng, "sw0", SwitchCrash),
+			newFake(eng, "sw1", SwitchCrash),
+			newFake(eng, "l0", LinkDown, LaneDegrade, CreditLeak),
+			newFake(eng, "fam0", DeviceFail),
+			newFake(eng, "faa0", ChassisKill),
 		)
 		return in.RandomPlan("chaos", 24, 500*sim.Microsecond).String()
 	}
@@ -168,11 +251,11 @@ func TestRandomPlanIsSeedDeterministic(t *testing.T) {
 
 func TestRandomPlanIsSchedulable(t *testing.T) {
 	eng := sim.NewEngine()
-	in := NewInjector(eng, 7)
+	in := NewInjector(7)
 	tgts := []*fakeTarget{
-		newFake("sw0", SwitchCrash),
-		newFake("l0", LinkDown, LaneDegrade, CreditLeak),
-		newFake("fam0", DeviceFail),
+		newFake(eng, "sw0", SwitchCrash),
+		newFake(eng, "l0", LinkDown, LaneDegrade, CreditLeak),
+		newFake(eng, "fam0", DeviceFail),
 	}
 	for _, tg := range tgts {
 		in.Register(tg)
@@ -185,8 +268,8 @@ func TestRandomPlanIsSchedulable(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if in.Injected.Value() != 16 || in.Healed.Value() != 16 {
-		t.Fatalf("injected/healed = %d/%d, want 16/16", in.Injected.Value(), in.Healed.Value())
+	if in.Injected() != 16 || in.Healed() != 16 {
+		t.Fatalf("injected/healed = %d/%d, want 16/16", in.Injected(), in.Healed())
 	}
 	if in.Active() != 0 {
 		t.Fatalf("Active() = %d after all heals", in.Active())

@@ -10,7 +10,9 @@ import (
 
 // Link implements fault.Injectable: a link can flap (LinkDown), lose
 // lanes (LaneDegrade), and leak flow-control credits (CreditLeak). All
-// three apply symmetrically to both directions.
+// three apply symmetrically to both directions, one side at a time: on
+// a cross-shard link the two ports belong to different engines, so each
+// side's share is applied on its own engine (see fault.Injectable).
 //
 // Loss semantics: a down link pauses both transmitters, but flits
 // already serialized onto the wire still land — the link layer stays
@@ -31,36 +33,21 @@ func (l *Link) Supports(k fault.Kind) bool {
 	return false
 }
 
-// InjectFault applies a link fault to both sides.
-func (l *Link) InjectFault(f fault.Fault) error {
-	if err := l.InjectFaultSide(0, f); err != nil {
-		return err
-	}
-	return l.InjectFaultSide(1, f)
-}
+// Sides reports the engines of ports A and B.
+func (l *Link) Sides() []*sim.Engine { return []*sim.Engine{l.a.eng, l.b.eng} }
 
-// InjectFaultSide applies one side's share of a link fault (0 = A,
-// 1 = B). On a cross-shard link the two ports belong to different
-// engines, so a fault must be applied by each shard independently —
-// scheduled at the same virtual instant on both, which models exactly
-// how the two ends of a severed cable notice the cut on their own.
-func (l *Link) InjectFaultSide(side int, f fault.Fault) error {
+// InjectFault applies one side's share of a link fault (0 = A, 1 = B).
+func (l *Link) InjectFault(side int, f fault.Fault) error {
+	if err := f.Validate(); err != nil {
+		return fmt.Errorf("link %s: %w", l.name, err)
+	}
 	p := l.side(side)
 	switch f.Kind {
 	case fault.LinkDown:
 		p.setDown(true)
 	case fault.LaneDegrade:
-		if f.Factor < 2 {
-			return fmt.Errorf("link %s: lane degrade needs Factor >= 2, got %d", l.name, f.Factor)
-		}
 		p.laneDiv = f.Factor
 	case fault.CreditLeak:
-		if f.Credits <= 0 {
-			return fmt.Errorf("link %s: credit leak needs Credits > 0, got %d", l.name, f.Credits)
-		}
-		if f.VC < 0 || f.VC >= flit.NumChannels {
-			return fmt.Errorf("link %s: credit leak VC %d out of range", l.name, f.VC)
-		}
 		p.leakCredits(flit.Channel(f.VC), f.Credits)
 	default:
 		return fmt.Errorf("link %s: unsupported fault %v", l.name, f.Kind)
@@ -68,17 +55,8 @@ func (l *Link) InjectFaultSide(side int, f fault.Fault) error {
 	return nil
 }
 
-// HealFault clears a link fault on both sides.
-func (l *Link) HealFault(k fault.Kind) error {
-	if err := l.HealFaultSide(0, k); err != nil {
-		return err
-	}
-	return l.HealFaultSide(1, k)
-}
-
-// HealFaultSide clears one side's share of a link fault (0 = A, 1 = B);
-// see InjectFaultSide.
-func (l *Link) HealFaultSide(side int, k fault.Kind) error {
+// HealFault clears one side's share of a link fault (0 = A, 1 = B).
+func (l *Link) HealFault(side int, k fault.Kind) error {
 	p := l.side(side)
 	switch k {
 	case fault.LinkDown:

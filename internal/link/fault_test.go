@@ -8,17 +8,34 @@ import (
 	"fcc/internal/sim"
 )
 
+// injectBoth applies f to both sides of l, as a scheduled fault does
+// on a link whose sides share one engine.
+func injectBoth(l *Link, f fault.Fault) error {
+	if err := l.InjectFault(0, f); err != nil {
+		return err
+	}
+	return l.InjectFault(1, f)
+}
+
+// healBoth clears the fault of kind k on both sides of l.
+func healBoth(l *Link, k fault.Kind) error {
+	if err := l.HealFault(0, k); err != nil {
+		return err
+	}
+	return l.HealFault(1, k)
+}
+
 func TestLinkFlapPausesThenResumes(t *testing.T) {
 	eng, l, _, sb := testLink(t, nil)
 	heal := 10 * sim.Microsecond
 	eng.After(0, func() {
-		if err := l.InjectFault(fault.Fault{Kind: fault.LinkDown}); err != nil {
+		if err := injectBoth(l, fault.Fault{Kind: fault.LinkDown}); err != nil {
 			t.Errorf("inject: %v", err)
 		}
 		l.A().Send(memPacket(1, 64))
 	})
 	eng.After(heal, func() {
-		if err := l.HealFault(fault.LinkDown); err != nil {
+		if err := healBoth(l, fault.LinkDown); err != nil {
 			t.Errorf("heal: %v", err)
 		}
 	})
@@ -34,7 +51,7 @@ func TestLinkFlapPausesThenResumes(t *testing.T) {
 func TestLinkDownReportsFailedAt(t *testing.T) {
 	eng, l, _, _ := testLink(t, nil)
 	at := 3 * sim.Microsecond
-	eng.After(at, func() { l.InjectFault(fault.Fault{Kind: fault.LinkDown}) })
+	eng.After(at, func() { injectBoth(l, fault.Fault{Kind: fault.LinkDown}) })
 	eng.Run()
 	if !l.Down() {
 		t.Fatal("link not down after LinkDown")
@@ -49,7 +66,7 @@ func TestLaneDegradeSlowsSerialization(t *testing.T) {
 		eng, l, _, sb := testLink(t, nil)
 		eng.After(0, func() {
 			if factor > 1 {
-				if err := l.InjectFault(fault.Fault{Kind: fault.LaneDegrade, Factor: factor}); err != nil {
+				if err := injectBoth(l, fault.Fault{Kind: fault.LaneDegrade, Factor: factor}); err != nil {
 					t.Errorf("inject: %v", err)
 				}
 			}
@@ -73,8 +90,8 @@ func TestLaneDegradeSlowsSerialization(t *testing.T) {
 	// Healing restores full-width timing.
 	eng, l, _, sb := testLink(t, nil)
 	eng.After(0, func() {
-		l.InjectFault(fault.Fault{Kind: fault.LaneDegrade, Factor: 4})
-		l.HealFault(fault.LaneDegrade)
+		injectBoth(l, fault.Fault{Kind: fault.LaneDegrade, Factor: 4})
+		healBoth(l, fault.LaneDegrade)
 		l.A().Send(memPacket(1, 64))
 	})
 	eng.Run()
@@ -89,13 +106,13 @@ func TestCreditLeakStallsUntilHealed(t *testing.T) {
 	leak := DefaultConfig().RxBufFlits[flit.ChMem] // drain the whole VC
 	heal := 20 * sim.Microsecond
 	eng.After(0, func() {
-		if err := l.InjectFault(fault.Fault{Kind: fault.CreditLeak, VC: vc, Credits: leak}); err != nil {
+		if err := injectBoth(l, fault.Fault{Kind: fault.CreditLeak, VC: vc, Credits: leak}); err != nil {
 			t.Errorf("inject: %v", err)
 		}
 		l.A().Send(memPacket(1, 64))
 	})
 	eng.After(heal, func() {
-		if err := l.HealFault(fault.CreditLeak); err != nil {
+		if err := healBoth(l, fault.CreditLeak); err != nil {
 			t.Errorf("heal: %v", err)
 		}
 	})
@@ -115,13 +132,13 @@ func TestCreditLeakStallsUntilHealed(t *testing.T) {
 
 func TestLinkFaultValidation(t *testing.T) {
 	_, l, _, _ := testLink(t, nil)
-	if err := l.InjectFault(fault.Fault{Kind: fault.LaneDegrade, Factor: 1}); err == nil {
+	if err := injectBoth(l, fault.Fault{Kind: fault.LaneDegrade, Factor: 1}); err == nil {
 		t.Fatal("Factor 1 lane degrade accepted")
 	}
-	if err := l.InjectFault(fault.Fault{Kind: fault.CreditLeak, VC: 99, Credits: 1}); err == nil {
+	if err := injectBoth(l, fault.Fault{Kind: fault.CreditLeak, VC: 99, Credits: 1}); err == nil {
 		t.Fatal("out-of-range VC accepted")
 	}
-	if err := l.InjectFault(fault.Fault{Kind: fault.SwitchCrash}); err == nil {
+	if err := injectBoth(l, fault.Fault{Kind: fault.SwitchCrash}); err == nil {
 		t.Fatal("unsupported kind accepted")
 	}
 	if l.Supports(fault.SwitchCrash) {

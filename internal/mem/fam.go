@@ -290,20 +290,6 @@ func (f *FAM) handle(req *flit.Packet, reply func(*flit.Packet)) {
 	f.fea.Enter(occ, op.enter)
 }
 
-// Fail power-fences the device: every request from now until Recover —
-// including replies for work already in the pipeline — is dropped.
-func (f *FAM) Fail() {
-	if f.down {
-		return
-	}
-	f.down = true
-	f.downAt = f.eng.Now()
-	f.epoch++
-}
-
-// Recover lifts the fence. DRAM contents are retained.
-func (f *FAM) Recover() { f.down = false }
-
 // Down reports whether the device is fenced.
 func (f *FAM) Down() bool { return f.down }
 
@@ -316,21 +302,27 @@ func (f *FAM) FaultID() string { return f.name }
 // Supports reports that a FAM can fail as a device.
 func (f *FAM) Supports(k fault.Kind) bool { return k == fault.DeviceFail }
 
-// InjectFault implements fault.Injectable.
-func (f *FAM) InjectFault(ft fault.Fault) error {
-	if ft.Kind != fault.DeviceFail {
-		return fmt.Errorf("mem: FAM %s does not support %v", f.name, ft.Kind)
+// Sides reports the FAM's one side: its engine.
+func (f *FAM) Sides() []*sim.Engine { return []*sim.Engine{f.eng} }
+
+// InjectFault implements fault.Injectable for the FAM's one kind (see
+// Supports): it power-fences the device. Every request from now until
+// HealFault — including replies for work already in the pipeline — is
+// dropped.
+func (f *FAM) InjectFault(int, fault.Fault) error {
+	if f.down {
+		return nil
 	}
-	f.Fail()
+	f.down = true
+	f.downAt = f.eng.Now()
+	f.epoch++
 	return nil
 }
 
-// HealFault implements fault.Injectable.
-func (f *FAM) HealFault(k fault.Kind) error {
-	if k != fault.DeviceFail {
-		return fmt.Errorf("mem: FAM %s does not support %v", f.name, k)
-	}
-	f.Recover()
+// HealFault implements fault.Injectable: it lifts the fence. DRAM
+// contents are retained.
+func (f *FAM) HealFault(int, fault.Kind) error {
+	f.down = false
 	return nil
 }
 

@@ -74,18 +74,18 @@ func (s *Stats) snapshot() *StatsSnapshot {
 	for _, key := range s.order {
 		kind, name := key[:2], key[2:]
 		switch kind {
-		case "c:":
+		case "c:", "C:":
 			if snap.Counters == nil {
 				snap.Counters = make(map[string]int64)
 			}
-			snap.Counters[name] = s.counters[name].Value()
+			snap.Counters[name] = s.value(key)
 		case "g:":
 			if snap.Gauges == nil {
 				snap.Gauges = make(map[string]int64)
 			}
 			snap.Gauges[name] = s.gauges[name]()
-		case "h:":
-			h := s.hists[name]
+		case "h:", "H:":
+			h := s.hist(key)
 			if h.Count() == 0 {
 				continue // empty histograms add noise, not information
 			}

@@ -20,6 +20,8 @@ type Stats struct {
 	counters map[string]*Counter
 	hists    map[string]*Histogram
 	gauges   map[string]func() int64
+	sums     map[string]func() int64
+	merges   map[string]func() *Histogram
 	children []*Stats
 	order    []string
 }
@@ -31,6 +33,8 @@ func NewStats(name string) *Stats {
 		counters: make(map[string]*Counter),
 		hists:    make(map[string]*Histogram),
 		gauges:   make(map[string]func() int64),
+		sums:     make(map[string]func() int64),
+		merges:   make(map[string]func() *Histogram),
 	}
 }
 
@@ -57,7 +61,7 @@ func (s *Stats) Counter(name string) *Counter {
 
 // Register attaches a component-owned counter under the given name.
 func (s *Stats) Register(name string, c *Counter) {
-	if _, ok := s.counters[name]; ok {
+	if _, ok := s.counters[name]; ok || s.sums[name] != nil {
 		panic("sim: duplicate counter registration: " + s.name + "/" + name)
 	}
 	s.counters[name] = c
@@ -77,7 +81,7 @@ func (s *Stats) Histogram(name string) *Histogram {
 
 // RegisterHistogram attaches a component-owned histogram.
 func (s *Stats) RegisterHistogram(name string, h *Histogram) {
-	if _, ok := s.hists[name]; ok {
+	if _, ok := s.hists[name]; ok || s.merges[name] != nil {
 		panic("sim: duplicate histogram registration: " + s.name + "/" + name)
 	}
 	s.hists[name] = h
@@ -94,6 +98,44 @@ func (s *Stats) Gauge(name string, fn func() int64) {
 	s.order = append(s.order, "g:"+name)
 }
 
+// CounterFunc registers a counter kept in parts — one per failure
+// domain, say — whose total fn reports at Dump/Snapshot time. It
+// exports as a counter, not a gauge.
+func (s *Stats) CounterFunc(name string, fn func() int64) {
+	if _, ok := s.counters[name]; ok || s.sums[name] != nil {
+		panic("sim: duplicate counter registration: " + s.name + "/" + name)
+	}
+	s.sums[name] = fn
+	s.order = append(s.order, "C:"+name)
+}
+
+// HistogramFunc registers a histogram kept in parts, which fn merges
+// into one at Dump/Snapshot time.
+func (s *Stats) HistogramFunc(name string, fn func() *Histogram) {
+	if _, ok := s.hists[name]; ok || s.merges[name] != nil {
+		panic("sim: duplicate histogram registration: " + s.name + "/" + name)
+	}
+	s.merges[name] = fn
+	s.order = append(s.order, "H:"+name)
+}
+
+// value reports a counter's value, whether registered as one or kept
+// in parts.
+func (s *Stats) value(key string) int64 {
+	if key[0] == 'C' {
+		return s.sums[key[2:]]()
+	}
+	return s.counters[key[2:]].Value()
+}
+
+// hist reports a histogram, whether registered as one or kept in parts.
+func (s *Stats) hist(key string) *Histogram {
+	if key[0] == 'H' {
+		return s.merges[key[2:]]()
+	}
+	return s.hists[key[2:]]
+}
+
 // Dump renders the registry tree as indented text.
 func (s *Stats) Dump() string {
 	var b strings.Builder
@@ -107,12 +149,12 @@ func (s *Stats) dump(b *strings.Builder, depth int) {
 	for _, key := range s.order {
 		kind, name := key[:2], key[2:]
 		switch kind {
-		case "c:":
-			fmt.Fprintf(b, "%s  %s = %d\n", ind, name, s.counters[name].Value())
+		case "c:", "C:":
+			fmt.Fprintf(b, "%s  %s = %d\n", ind, name, s.value(key))
 		case "g:":
 			fmt.Fprintf(b, "%s  %s = %d\n", ind, name, s.gauges[name]())
-		case "h:":
-			h := s.hists[name]
+		case "h:", "H:":
+			h := s.hist(key)
 			if h.Count() == 0 {
 				continue
 			}

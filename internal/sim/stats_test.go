@@ -219,6 +219,36 @@ func TestStatsDuplicateRegistrationPanics(t *testing.T) {
 	s.Register("n", &b)
 }
 
+// TestStatsKeptInParts pins CounterFunc and HistogramFunc: read live
+// at Snapshot time, exported in the counter and histogram maps (not as
+// gauges), and sharing the duplicate-name check with Register.
+func TestStatsKeptInParts(t *testing.T) {
+	s := NewStats("fault")
+	parts := []*Counter{{}, {}}
+	s.CounterFunc("injected", func() int64 { return parts[0].Value() + parts[1].Value() })
+	h := NewHistogram()
+	s.HistogramFunc("lat", func() *Histogram { return h })
+	parts[0].Add(2)
+	parts[1].Add(3)
+	h.Observe(40)
+	snap := s.Snapshot()
+	if snap.Counters["injected"] != 5 || snap.Gauges != nil {
+		t.Fatalf("counters %v gauges %v, want injected 5 and no gauges", snap.Counters, snap.Gauges)
+	}
+	if snap.Histograms["lat"].Count != 1 {
+		t.Fatalf("histograms %v, want lat with 1 sample", snap.Histograms)
+	}
+	if out := s.Dump(); !strings.Contains(out, "injected = 5") || !strings.Contains(out, "lat: n=1") {
+		t.Fatalf("dump misses the parts-kept metrics:\n%s", out)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("counter registered over a CounterFunc of the same name")
+		}
+	}()
+	s.Register("injected", &Counter{})
+}
+
 // buildSnapshotFixture is the deterministic tree behind the golden test.
 func buildSnapshotFixture() *Stats {
 	root := NewStats("cluster")
