@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet fmtcheck lint test race shard-equiv fabstore-equiv perfbench-check fuzz-smoke shard-speedup scale-smoke bench bench-smoke bench-diff examples-smoke
+.PHONY: ci build vet fmtcheck lint test race shard-equiv fabstore-equiv perfbench-check fuzz-smoke shard-speedup scale-smoke bench-smoke examples-smoke
 
 # ci is the tier-1 gate: build, vet, the invariant lint pass, the full
 # suite under the race detector, the sharded-equivalence crown jewel
@@ -14,7 +14,6 @@ ci: build vet lint race shard-equiv fabstore-equiv perfbench-check fuzz-smoke ex
 	-@$(MAKE) --no-print-directory bench-smoke || echo "bench-smoke FAILED (non-gating)"
 	-@$(MAKE) --no-print-directory shard-speedup || echo "shard-speedup FAILED (non-gating)"
 	-@$(MAKE) --no-print-directory scale-smoke || echo "scale-smoke FAILED (non-gating)"
-	-@$(MAKE) --no-print-directory bench-diff || echo "bench-diff FAILED (non-gating)"
 
 build:
 	$(GO) build ./...
@@ -45,9 +44,10 @@ race:
 	$(GO) test -race ./...
 
 # shard-equiv is the parallel-determinism gate: the coordinator/mailbox
-# unit tests, the cluster-level Stop, clock-after-Run and every-fault-
-# kind injector tests at 1, 2 and 4 shards, and the serial-vs-sharded
-# byte-identical-snapshot suite,
+# unit tests (daemon timers included), the cluster-level Stop,
+# clock-after-Run, every-fault-kind injector, daemon-timer drain and
+# sharded coherence/etrans tests across shard counts, and the
+# serial-vs-sharded byte-identical-snapshot suite,
 # run under the race detector with -count=1 so a cached pass never
 # masks a fresh data race in the window-barrier machinery. The sim leg
 # runs at -cpu 1,4 and the root and exp legs pin GOMAXPROCS=4, so the
@@ -57,7 +57,7 @@ race:
 # sequential execution).
 shard-equiv:
 	$(GO) test -race -count=1 -cpu 1,4 -run 'Coordinator|Mailbox|Window' ./internal/sim/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestClusterClock|TestClusterStop|TestClusterInjectorShardEquiv' .
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestClusterClock|TestClusterStop|TestClusterInjectorShardEquiv|TestClusterDaemonTimersDrain|TestClusterShardedCoherenceETrans' .
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSharded' ./internal/exp/
 
 # fabstore-equiv gates the E11 macro-benchmark's determinism claim: the
@@ -83,20 +83,6 @@ perfbench-check:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/flit/
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 10s ./internal/flit/
-
-# bench runs every benchmark in the tree and records the perf
-# trajectory as BENCH_<date>.json (events/sec, ns/op, allocs/op — see
-# cmd/benchjson). Compare against the committed document from the
-# previous PR before merging scheduler or flit-path changes.
-bench:
-	$(GO) test -run '^$$' -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -out BENCH_$$(date +%F).json
-
-# bench-diff compares the two most recent committed BENCH_<date>.json
-# documents (ns/op and allocs/op deltas; see cmd/benchdiff). It rides
-# along in ci non-gating — wall-clock noise must never block a merge —
-# but a REGRESSED line in its output is worth reading before pushing.
-bench-diff:
-	@$(GO) run ./cmd/benchdiff
 
 # shard-speedup smoke-runs E12, the multi-pod scaling experiment: wall
 # clock at 1/2/4/8 shards with the serial-vs-sharded equivalence check

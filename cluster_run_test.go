@@ -8,12 +8,16 @@ import (
 	"strings"
 	"testing"
 
+	"fcc/internal/arbiter"
+	"fcc/internal/coherence"
+	"fcc/internal/etrans"
 	"fcc/internal/faa"
 	"fcc/internal/fabric"
 	"fcc/internal/fault"
 	"fcc/internal/flit"
 	"fcc/internal/sim"
 	"fcc/internal/txn"
+	"fcc/internal/uheap"
 )
 
 // ringCluster builds a four-switch ring with one host per switch and a
@@ -126,20 +130,28 @@ func TestClusterClockAfterRun(t *testing.T) {
 // TestClusterShardGuards pins the helpers that need one shared engine:
 // on a sharded cluster they panic and name what to use instead; at
 // Shards 0 and 1 they work, on a one-domain coordinator whose engine is
-// Eng.
+// Eng. A helper with no replacement builds on the host's own engine and
+// works at every shard count.
 func TestClusterShardGuards(t *testing.T) {
 	guards := []struct {
 		name, replacement string
 		call              func(c *Cluster) any
 	}{
 		{"Go", "Hosts[i].Engine().Go", func(c *Cluster) any { return c.Go("g", func(*sim.Proc) {}) }},
-		{"NewETrans", "etrans.NewEngine", func(c *Cluster) any { return c.NewETrans(c.Hosts[0]) }},
+		{"NewETrans", "", func(c *Cluster) any { return c.NewETrans(c.Hosts[0]) }},
 		{"NewTaskRunner", "task.NewRunner", func(c *Cluster) any { return c.NewTaskRunner(c.Hosts[0], 1) }},
 	}
 	for _, g := range guards {
 		for _, shards := range []int{0, 1, 2} {
 			t.Run(fmt.Sprintf("%s/shards=%d", g.name, shards), func(t *testing.T) {
 				c := ringCluster(t, shards)
+				if shards > 1 && g.replacement == "" {
+					if g.call(c) == nil {
+						t.Fatal("returned nil")
+					}
+					c.Run()
+					return
+				}
 				if shards > 1 {
 					defer func() {
 						msg, _ := recover().(string)
@@ -302,4 +314,169 @@ func firstDiff(a, b []byte) string {
 		}
 	}
 	return fmt.Sprintf("lengths %d vs %d lines", len(al), len(bl))
+}
+
+// guardEvents arms every domain's EventLimit, so a run that never
+// drains panics instead of hanging.
+func guardEvents(c *Cluster) {
+	for i := 0; i < c.Coord.Shards(); i++ {
+		c.Coord.Engine(i).EventLimit = 5_000_000
+	}
+}
+
+// heapRun gives every host of c a migrating unified heap (a two-object
+// local pool, eight far objects) and drives a read stream whose hot set
+// moves halfway, so the migration epochs both promote and demote. Each
+// heap's epoch is a daemon timer on its host's engine. It returns the
+// stats snapshot with every heap's counters under heapN.
+func heapRun(t *testing.T, c *Cluster) ([]byte, []*uheap.Heap) {
+	t.Helper()
+	guardEvents(c)
+	var heaps []*uheap.Heap
+	for hi, h := range c.Hosts {
+		hp, err := c.NewHeap(h, uheap.DefaultConfig(), 8<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heaps = append(heaps, hp)
+		objs := make([]*uheap.Obj, 8)
+		for i := range objs {
+			if objs[i], err = hp.Alloc(4096, uheap.ClassFar); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h.Engine().Go(h.Name()+"/heap", func(p *sim.Proc) {
+			for k := 0; k < 300; k++ {
+				objs[k/150*4+k%4].Read64P(p, uint64(k%64)*64)
+				p.Sleep(sim.Microsecond + sim.Time(hi+1)*97)
+			}
+		})
+	}
+	c.Run()
+	root := c.Stats()
+	for i, hp := range heaps {
+		hp.RegisterStats(root.Child(fmt.Sprintf("heap%d", i)))
+	}
+	raw, err := root.Snapshot().MarshalJSONIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw, heaps
+}
+
+// TestClusterDaemonTimersDrain pins the daemon rule at cluster level:
+// two hosts, each with a migrating heap whose epoch timer re-arms
+// forever, must drain at every shard count — each heap's pending epoch
+// no longer keeps the other's alive — with byte-identical snapshots,
+// migration counters included, and the same end clock. A serial row
+// adds the AIMD arbiter's epoch timer to one migrating heap.
+func TestClusterDaemonTimersDrain(t *testing.T) {
+	var ref []byte
+	var refNow sim.Time
+	for _, shards := range []int{0, 1, 2, 4} {
+		c, err := New(Config{
+			Hosts: 2, FAMs: 2, FAMCapacity: 1 << 24, Shards: shards,
+			Topology: &fabric.TopoSpec{Kind: fabric.TopoRing, Groups: 4},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, heaps := heapRun(t, c)
+		if ref == nil {
+			ref, refNow = snap, c.Coord.Now()
+			for i, hp := range heaps {
+				if hp.Promotions.Value() == 0 || hp.Demotions.Value() == 0 {
+					t.Fatalf("heap%d: %d promotions, %d demotions; the workload must exercise both",
+						i, hp.Promotions.Value(), hp.Demotions.Value())
+				}
+			}
+			continue
+		}
+		if !bytes.Equal(snap, ref) {
+			t.Errorf("shards=%d snapshot differs from serial:\n%s", shards, firstDiff(ref, snap))
+		}
+		if c.Coord.Now() != refNow {
+			t.Errorf("shards=%d run ended at %v, serial at %v", shards, c.Coord.Now(), refNow)
+		}
+	}
+
+	t.Run("arbiter-aimd", func(t *testing.T) {
+		c, err := New(Config{
+			Hosts: 1, FAMs: 1, FAMCapacity: 1 << 24, Arbiter: true,
+			ArbiterConfig: func() arbiter.Config {
+				ac := arbiter.DefaultConfig()
+				ac.AIMD = true
+				return ac
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, heaps := heapRun(t, c)
+		if heaps[0].Promotions.Value() == 0 {
+			t.Fatal("heap never migrated")
+		}
+	})
+}
+
+// TestClusterShardedCoherenceETrans pins coherence directories and
+// migration agents in their home domains: a coherence client on host2
+// writes and reads lines homed on fam0, two switches away, while host3
+// moves a buffer from fam0 to fam1 through the agents. The stats
+// snapshot must be byte-identical at Shards 1, 2 and 4 (host2 and fam0
+// sit in different domains at 2 and 4).
+func TestClusterShardedCoherenceETrans(t *testing.T) {
+	var ref []byte
+	for _, shards := range []int{1, 2, 4} {
+		c, err := New(Config{
+			Hosts: 4, FAMs: 2, FAMCapacity: 1 << 24, Shards: shards,
+			Coherent: true, Agents: true,
+			Topology: &fabric.TopoSpec{Kind: fabric.TopoRing, Groups: 4},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		guardEvents(c)
+		h2, h3 := c.Hosts[2], c.Hosts[3]
+		cc := c.NewCoherenceClient(h2, 0, coherence.DefaultClientConfig())
+		h2.Engine().Go("coherent", func(p *sim.Proc) {
+			for i := uint64(0); i < 32; i++ {
+				cc.Write64P(p, 0x1000+i*64, i*i)
+				p.Sleep(300*sim.Nanosecond + 17)
+			}
+			for i := uint64(0); i < 32; i++ {
+				if got := cc.Read64P(p, 0x1000+i*64); got != i*i {
+					t.Errorf("shards=%d: coherent read of line %d = %d, want %d", shards, i, got, i*i)
+				}
+			}
+		})
+		for i := uint64(0); i < 8; i++ {
+			c.FAMs[0].DRAM().Store().Write64(0x8000+i*8, 1000+i)
+		}
+		et := c.NewETrans(h3)
+		h3.Engine().Go("etrans", func(p *sim.Proc) {
+			p.Sleep(2*sim.Microsecond + 31)
+			et.SubmitP(p, &etrans.Request{
+				Src: []etrans.Segment{{Port: c.FAMs[0].ID(), Addr: 0x8000, Size: 64}},
+				Dst: []etrans.Segment{{Port: c.FAMs[1].ID(), Addr: 0x9000, Size: 64}},
+			})
+		})
+		c.Run()
+		for i := uint64(0); i < 8; i++ {
+			if got := c.FAMs[1].DRAM().Store().Read64(0x9000 + i*8); got != 1000+i {
+				t.Fatalf("shards=%d: migrated word %d = %d, want %d", shards, i, got, 1000+i)
+			}
+		}
+		raw, err := c.Stats().Snapshot().MarshalJSONIndent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = raw
+			continue
+		}
+		if !bytes.Equal(raw, ref) {
+			t.Errorf("shards=%d snapshot differs from one domain:\n%s", shards, firstDiff(ref, raw))
+		}
+	}
 }

@@ -62,9 +62,8 @@ type Config struct {
 	Topology *fabric.TopoSpec
 	// Manager attaches the active fabric manager: heartbeat failure
 	// detection plus automatic PBR route-around (see fabric.Manager).
-	// Its health sweep is perpetual — call Cluster.Manager.Stop() when
-	// the workload completes, or use RunFor, since Run() alone would
-	// never drain the event queue.
+	// Its health sweep is a daemon timer: Run ends with the workload,
+	// the sweep never keeps it alive.
 	Manager bool
 
 	// TraceFlits, when positive, attaches a fabric-wide flit tracer
@@ -83,8 +82,9 @@ type Config struct {
 	// pod is still correct, only its lookahead is the narrower
 	// intra-pod propagation. Same-seed runs produce byte-identical stats
 	// snapshots at every shard count, faults scheduled through
-	// NewInjector or SchedulePlan included. The centralized services —
-	// Manager, Arbiter, Coherent, Agents, TraceFlits — are single-engine
+	// NewInjector or SchedulePlan included. Coherence directories and
+	// migration agents live in their home domains. The centralized
+	// services — Manager, Arbiter, TraceFlits — are single-engine
 	// designs and must stay off when Shards > 1.
 	Shards int
 
@@ -178,8 +178,8 @@ func New(cfg Config) (*Cluster, error) {
 
 	shards := max(cfg.Shards, 1)
 	switch {
-	case shards > 1 && (cfg.Manager || cfg.Arbiter || cfg.Coherent || cfg.Agents || cfg.TraceFlits > 0):
-		return nil, fmt.Errorf("fcc: Shards > 1 cannot host the centralized services (Manager/Arbiter/Coherent/Agents/TraceFlits)")
+	case shards > 1 && (cfg.Manager || cfg.Arbiter || cfg.TraceFlits > 0):
+		return nil, fmt.Errorf("fcc: Shards > 1 cannot host the centralized services (Manager/Arbiter/TraceFlits)")
 	case shards > nsw:
 		return nil, fmt.Errorf("fcc: %d shards need at least that many switches, have %d", shards, nsw)
 	}
@@ -230,7 +230,7 @@ func New(cfg Config) (*Cluster, error) {
 		fam := mem.NewFAM(att.Eng, att, fc)
 		c.FAMs = append(c.FAMs, fam)
 		if cfg.Coherent {
-			c.Dirs = append(c.Dirs, coherence.NewDirectory(eng, fam))
+			c.Dirs = append(c.Dirs, coherence.NewDirectory(att.Eng, fam))
 		}
 	}
 	for i := 0; i < cfg.FAAs; i++ {
@@ -250,7 +250,7 @@ func New(cfg Config) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			c.Agents = append(c.Agents, etrans.NewAgent(eng, att))
+			c.Agents = append(c.Agents, etrans.NewAgent(att.Eng, att))
 		}
 	}
 	if cfg.Arbiter {
@@ -326,10 +326,10 @@ func (c *Cluster) requireUnsharded(what string) {
 	}
 }
 
-// NewETrans builds an elastic transaction engine for host h, registered
-// with every migration agent (and the arbiter when present).
+// NewETrans builds an elastic transaction engine for host h, on h's
+// engine, registered with every migration agent (and the arbiter when
+// present).
 func (c *Cluster) NewETrans(h *host.Host) *etrans.Engine {
-	c.requireUnsharded("NewETrans (use etrans.NewEngine(h.Engine(), h.Endpoint()))")
 	e := etrans.NewEngine(h.Engine(), h.Endpoint())
 	for i, a := range c.Agents {
 		e.AddAgent(a.ID(), c.FAMs[i].ID())
@@ -372,9 +372,9 @@ func (c *Cluster) ArbiterClient(h *host.Host) *arbiter.Client {
 // keys, each client's hot-row path goes through the directories; with
 // the Arbiter attached, clients reserve bandwidth credit toward the
 // destination expander around writes and scan chunks. Both services are
-// optional — on sharded clusters (where they are refused) clients use
-// the raw retried-transaction path, which is exactly what the
-// serial-vs-sharded equivalence experiment runs.
+// optional (the Arbiter is refused on sharded clusters); without them
+// clients use the raw retried-transaction path, which is exactly what
+// the serial-vs-sharded equivalence experiment runs.
 func (c *Cluster) NewFabStore(fcfg fabstore.Config) (*fabstore.Store, error) {
 	devs := make([]fabstore.Device, len(c.FAMs))
 	for i, f := range c.FAMs {

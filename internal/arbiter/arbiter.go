@@ -113,11 +113,9 @@ func New(eng *sim.Engine, att *fabric.Attachment, cfg Config) *Arbiter {
 		var tick func()
 		tick = func() {
 			a.aimdEpoch()
-			if a.eng.Pending() > 0 {
-				a.eng.After(a.cfg.AIMDEpoch, tick)
-			}
+			a.eng.AfterDaemon(a.cfg.AIMDEpoch, tick)
 		}
-		a.eng.After(a.cfg.AIMDEpoch, tick)
+		a.eng.AfterDaemon(a.cfg.AIMDEpoch, tick)
 	}
 	return a
 }

@@ -331,14 +331,9 @@ func TestAIMDWindowShrinksUnderCongestion(t *testing.T) {
 		}
 	})
 	eng.At(30*sim.Microsecond, func() { windows = append(windows, arb.Window(dst)) })
-	// Phase 2: idle — the window must recover additively.
+	// Phase 2: idle — the window must recover additively. The sample
+	// is the run's last event, so the AIMD epochs (daemons) run up to it.
 	eng.At(250*sim.Microsecond, func() { windows = append(windows, arb.Window(dst)) })
-	// Keep the engine alive through the recovery epochs.
-	eng.Go("heartbeat", func(p *sim.Proc) {
-		for i := 0; i < 140; i++ {
-			p.Sleep(2 * sim.Microsecond)
-		}
-	})
 	eng.Run()
 	if len(windows) != 2 {
 		t.Fatalf("sampled %d windows", len(windows))

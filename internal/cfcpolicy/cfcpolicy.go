@@ -73,7 +73,6 @@ type Allocator struct {
 	alloc []int
 	last  []int64 // FlitsRx at previous epoch
 	ewma  []float64
-	stop  bool
 
 	// Reallocations counts epochs that changed at least one allocation.
 	Reallocations sim.Counter
@@ -115,24 +114,20 @@ func NewAllocator(eng *sim.Engine, sw *fabric.Switch, portIdx []int, cfg Allocat
 	return a, nil
 }
 
-// Start begins epoch-based reallocation (no-op for Static).
+// Start begins epoch-based reallocation (no-op for Static). The epoch is
+// a daemon timer: it runs while the workload does and never keeps a Run
+// alive by itself.
 func (a *Allocator) Start() {
 	if a.cfg.Scheme == Static {
 		return
 	}
 	var tick func()
 	tick = func() {
-		if a.stop {
-			return
-		}
 		a.reallocate()
-		a.eng.After(a.cfg.Epoch, tick)
+		a.eng.AfterDaemon(a.cfg.Epoch, tick)
 	}
-	a.eng.After(a.cfg.Epoch, tick)
+	a.eng.AfterDaemon(a.cfg.Epoch, tick)
 }
-
-// Stop halts reallocation after the current epoch.
-func (a *Allocator) Stop() { a.stop = true }
 
 // Allocation reports the current per-port credit allocation.
 func (a *Allocator) Allocation() []int { return append([]int(nil), a.alloc...) }

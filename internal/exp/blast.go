@@ -168,7 +168,6 @@ func blastSwitchKill(seed uint64, withMgr bool) (BlastVariant, string, float64, 
 	issued := make([]int, n)
 	committed := make([]int, n)
 	typed := make([]int, n)
-	done := 0
 	for hi, h := range c.Hosts {
 		hi, h := hi, h
 		ep := h.Endpoint()
@@ -191,10 +190,6 @@ func blastSwitchKill(seed uint64, withMgr bool) (BlastVariant, string, float64, 
 					panic(fmt.Sprintf("blast: untyped failure: %v", err))
 				}
 				p.Sleep(500 * sim.Nanosecond)
-			}
-			done++
-			if done == n && c.Manager != nil {
-				c.Manager.Stop()
 			}
 		})
 	}
@@ -262,14 +257,6 @@ func blastFullPlan(seed uint64) (BlastVariant, []string, *sim.StatsSnapshot, []b
 	issued := make([]int, n)
 	committed := make([]int, n)
 	typed := make([]int, n)
-	procs := n + 2 // memory streams + etrans stream + FAA stream
-	done := 0
-	finish := func() {
-		done++
-		if done == procs {
-			c.Manager.Stop()
-		}
-	}
 	account := func(hi int, err error) {
 		switch {
 		case err == nil:
@@ -297,7 +284,6 @@ func blastFullPlan(seed uint64) (BlastVariant, []string, *sim.StatsSnapshot, []b
 				account(hi, err)
 				p.Sleep(500 * sim.Nanosecond)
 			}
-			finish()
 		})
 	}
 
@@ -315,7 +301,6 @@ func blastFullPlan(seed uint64) (BlastVariant, []string, *sim.StatsSnapshot, []b
 			account(0, err)
 			p.Sleep(50 * sim.Microsecond)
 		}
-		finish()
 	})
 
 	// host1: FAA invocations against the doomed chassis.
@@ -328,7 +313,6 @@ func blastFullPlan(seed uint64) (BlastVariant, []string, *sim.StatsSnapshot, []b
 			account(1, err)
 			p.Sleep(40 * sim.Microsecond)
 		}
-		finish()
 	})
 
 	c.Run()

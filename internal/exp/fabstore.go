@@ -19,7 +19,7 @@ import (
 // file defines the macro-benchmark fccbench runs: throughput/tail
 // tables for two tenant mixes (clean and under a fault plan), the
 // crash-recovery demonstration, and the serial-vs-sharded equivalence
-// run benchdiff tracks.
+// run.
 
 // FabStoreMixRow is one mix's measured outcome.
 type FabStoreMixRow struct {

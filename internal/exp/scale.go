@@ -195,7 +195,6 @@ func ScaleStorm(seed uint64, cfg ScaleConfig, full bool) ScaleStormResult {
 	issued := make([]int, n)
 	committed := make([]int, n)
 	typed := make([]int, n)
-	done := 0
 	for hi, h := range c.Hosts {
 		hi, h := hi, h
 		ep := h.Endpoint()
@@ -225,10 +224,6 @@ func ScaleStorm(seed uint64, cfg ScaleConfig, full bool) ScaleStormResult {
 					panic(fmt.Sprintf("scale storm: untyped failure: %v", err))
 				}
 				p.Sleep(sim.Time(200+rng.Intn(800)) * sim.Nanosecond)
-			}
-			done++
-			if done == n {
-				c.Manager.Stop()
 			}
 		})
 	}

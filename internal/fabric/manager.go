@@ -41,13 +41,12 @@ func DefaultManagerConfig() ManagerConfig {
 // loss. Recoveries are detected by the same sweep and re-admit the
 // component on the next re-fill.
 //
-// The sweep is a perpetual event: call Stop when the workload completes
-// or the engine's Run will never drain its queue.
+// The sweep is a daemon timer (sim.Engine.AfterDaemon): it runs for as
+// long as the workload does and never keeps a Run alive by itself.
 type Manager struct {
-	eng     *sim.Engine
-	b       *Builder
-	cfg     ManagerConfig
-	stopped bool
+	eng *sim.Engine
+	b   *Builder
+	cfg ManagerConfig
 
 	// Health state is kept in topology-order slices, not maps: the
 	// heartbeat sweep declares deaths and schedules reroutes in
@@ -107,20 +106,13 @@ func NewManager(eng *sim.Engine, b *Builder, cfg ManagerConfig) *Manager {
 	for _, sw := range b.switches {
 		sw.SetDropUnroutable(true)
 	}
-	eng.After(cfg.HeartbeatEvery, m.sweep)
+	eng.AfterDaemon(cfg.HeartbeatEvery, m.sweep)
 	return m
 }
-
-// Stop halts the heartbeat after the current period, letting the event
-// queue drain.
-func (m *Manager) Stop() { m.stopped = true }
 
 // sweep is one heartbeat: poll health, declare deaths and recoveries,
 // reroute when the live topology changed.
 func (m *Manager) sweep() {
-	if m.stopped {
-		return
-	}
 	m.Heartbeats.Inc()
 	changed, recovered := false, false
 	var onsets []sim.Time // FailedAt of components newly declared dead
@@ -171,7 +163,7 @@ func (m *Manager) sweep() {
 	if changed {
 		m.reroute(onsets, recovered, newSw, newISL, newAtt)
 	}
-	m.eng.After(m.cfg.HeartbeatEvery, m.sweep)
+	m.eng.AfterDaemon(m.cfg.HeartbeatEvery, m.sweep)
 }
 
 // reroute repairs the surviving switches' PBR tables over the live

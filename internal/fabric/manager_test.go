@@ -103,7 +103,6 @@ func TestManagerRoutesAroundEachSwitchKill(t *testing.T) {
 					}
 					p.Sleep(2 * sim.Microsecond)
 				}
-				m.Stop()
 			})
 			eng.Run()
 
@@ -142,7 +141,6 @@ func TestManagerDetectsRecovery(t *testing.T) {
 	eng.Go("probe", func(p *sim.Proc) {
 		p.Sleep(100 * sim.Microsecond) // well past heal + recovery sweep
 		_, postHeal = h.Request(&flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd, Dst: d.ID()}).Await(p)
-		m.Stop()
 	})
 	eng.Run()
 	if postHeal != nil {
@@ -186,7 +184,6 @@ func managerChaosRun(t *testing.T, seed uint64, mcfg ManagerConfig) ([]byte, *Ma
 			}
 			p.Sleep(3 * sim.Microsecond)
 		}
-		m.Stop()
 	})
 	eng.Run()
 

@@ -38,6 +38,19 @@ import (
 // exactly the order the previous container/heap implementation produced,
 // so same-seed runs are byte-identical across the two schedulers (see
 // TestLadderMatchesHeapReference).
+//
+// # Daemon timers
+//
+// AfterDaemon schedules a timer that does not keep a run alive — the
+// periodic control loops (fabric health sweeps, AIMD and migration
+// epochs) that re-arm forever. Run fires a daemon due at t if and only if
+// some non-daemon event fires at a time >= t during that run: with T* the
+// time of the run's last non-daemon event, exactly the daemons due at or
+// before T* fire, and the rest stay queued for a later run. RunUntil and
+// RunFor fire daemons like any other event up to their horizon. Daemons
+// live in their own heap, outside the ladder, and the dispatch loop's
+// horizon stops one tick short of the earliest one, so the non-daemon
+// path pays nothing per event for them.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -60,6 +73,13 @@ type Engine struct {
 
 	far farHeap
 
+	// daemons holds the AfterDaemon timers, ordered by (at, seq) in the
+	// same sequence stream as the ladder. dpermit is the latest time a
+	// non-daemon event is known to fire in the current run: a daemon due
+	// at or before it fires without further evidence (see daemonStep).
+	daemons farHeap
+	dpermit Time
+
 	// free is the event pool. Fired events are scrubbed (fn/afn/arg
 	// nil'd so pooled events never pin model objects) and recycled.
 	free *event
@@ -69,8 +89,9 @@ type Engine struct {
 
 	// freeRunner pools process coroutines for reuse across processes
 	// (drained when Run returns). driving is the process the dispatch
-	// loop is currently resuming, and driveLimit the active Run/RunUntil
-	// horizon: both gate takeOwnEvent.
+	// loop is currently resuming, and driveLimit the dispatch loop's
+	// horizon — the Run/RunUntil limit, cut one tick short of the
+	// earliest daemon due within it: both gate takeOwnEvent.
 	freeRunner *runner
 	driving    *Proc
 	driveLimit Time
@@ -141,8 +162,9 @@ func NewEngine() *Engine {
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending reports the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int {
+// pending reports the number of scheduled, not-yet-fired non-daemon
+// events.
+func (e *Engine) pending() int {
 	return len(e.cur) - e.curIdx + e.wheeln + len(e.far)
 }
 
@@ -174,16 +196,24 @@ func (e *Engine) release(ev *event) {
 // closure captures. Hot paths that fire millions of events should use
 // At2/After2, which schedule with zero steady-state allocations.
 func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	if t > MaxTime {
-		panic(fmt.Sprintf("sim: scheduling event at %d ps, beyond MaxTime (%d ps); use SaturatingAdd for relative timers", int64(t), int64(MaxTime)))
+	if t < e.now || t > MaxTime {
+		e.badTime(t)
 	}
 	e.seq++
 	ev := e.alloc()
 	ev.at, ev.seq, ev.fn, ev.kind = t, e.seq, fn, kindFn
 	e.enqueue(ev)
+}
+
+// badTime panics on an event time before now or beyond MaxTime (see
+// At). It is kept out of line so the schedulers stay small.
+//
+//go:noinline
+func (e *Engine) badTime(t Time) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	panic(fmt.Sprintf("sim: scheduling event at %d ps, beyond MaxTime (%d ps); use SaturatingAdd for relative timers", int64(t), int64(MaxTime)))
 }
 
 // After schedules fn to run d after the current time, saturating at
@@ -199,11 +229,8 @@ func (e *Engine) After(d Time, fn func()) { e.At(SaturatingAdd(e.now, d), fn) }
 // It shares the (at, seq) ordering stream with At, so mixing the two
 // APIs preserves deterministic tie-break order.
 func (e *Engine) At2(t Time, fn func(any), arg any) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	if t > MaxTime {
-		panic(fmt.Sprintf("sim: scheduling event at %d ps, beyond MaxTime (%d ps); use SaturatingAdd for relative timers", int64(t), int64(MaxTime)))
+	if t < e.now || t > MaxTime {
+		e.badTime(t)
 	}
 	if fn == nil {
 		panic("sim: At2 with nil fn")
@@ -212,6 +239,27 @@ func (e *Engine) At2(t Time, fn func(any), arg any) {
 	ev := e.alloc()
 	ev.at, ev.seq, ev.afn, ev.arg, ev.kind = t, e.seq, fn, arg, kindAfn
 	e.enqueue(ev)
+}
+
+// AfterDaemon schedules fn to run d after the current time, saturating
+// at MaxTime, as a daemon: a timer that does not keep a run alive (see
+// "Daemon timers" on Engine). A periodic control loop re-arms itself
+// with AfterDaemon from its own callback and needs no stop condition.
+// Negative d panics.
+func (e *Engine) AfterDaemon(d Time, fn func()) {
+	t := SaturatingAdd(e.now, d)
+	if t < e.now {
+		e.badTime(t)
+	}
+	e.seq++
+	ev := e.alloc()
+	ev.at, ev.seq, ev.fn, ev.kind = t, e.seq, fn, kindFn
+	e.daemons.push(ev)
+	// Scheduled from a callback mid-run: cut the dispatch loop short so
+	// the new daemon is reached in (at, seq) order.
+	if t <= e.driveLimit {
+		e.driveLimit = t - 1
+	}
 }
 
 // After2 schedules fn(arg) to run d after the current time, allocation-
@@ -240,11 +288,8 @@ type Batch struct {
 func (e *Engine) At2Batch(items []Batch) {
 	for i := range items {
 		it := &items[i]
-		if it.At < e.now {
-			panic(fmt.Sprintf("sim: scheduling event at %v before now %v", it.At, e.now))
-		}
-		if it.At > MaxTime {
-			panic(fmt.Sprintf("sim: scheduling event at %d ps, beyond MaxTime (%d ps); use SaturatingAdd for relative timers", int64(it.At), int64(MaxTime)))
+		if it.At < e.now || it.At > MaxTime {
+			e.badTime(it.At)
 		}
 		if it.Fn == nil {
 			panic("sim: At2Batch with nil Fn")
@@ -260,11 +305,8 @@ func (e *Engine) At2Batch(items []Batch) {
 // (at, seq) ordering stream with At/At2, so process wake-ups keep their
 // exact tie-break position among ordinary events.
 func (e *Engine) atProc(t Time, p *Proc) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	if t > MaxTime {
-		panic(fmt.Sprintf("sim: scheduling event at %d ps, beyond MaxTime (%d ps); use SaturatingAdd for relative timers", int64(t), int64(MaxTime)))
+	if t < e.now || t > MaxTime {
+		e.badTime(t)
 	}
 	e.seq++
 	ev := e.alloc()
@@ -389,22 +431,61 @@ func (e *Engine) pop() *event {
 	ev := e.cur[e.curIdx]
 	e.cur[e.curIdx] = nil
 	e.curIdx++
-	e.now = ev.at
-	e.fired++
-	if e.EventLimit > 0 && e.fired > e.EventLimit {
-		panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v", e.EventLimit, e.now))
-	}
+	e.advance(ev)
 	return ev
 }
 
-// Step fires the earliest pending event, advancing the clock to its
-// timestamp. It reports false when no events are pending. A process
-// resume runs synchronously: Step blocks until the process pauses.
-func (e *Engine) Step() bool {
+// advance moves the clock to a popped event and counts it against
+// EventLimit.
+func (e *Engine) advance(ev *event) {
+	e.now = ev.at
+	e.fired++
+	if e.EventLimit > 0 && e.fired > e.EventLimit {
+		e.overLimit()
+	}
+}
+
+// popDaemon removes the earliest daemon and advances to it.
+func (e *Engine) popDaemon() *event {
+	ev := e.daemons.pop()
+	e.advance(ev)
+	return ev
+}
+
+// overLimit is kept out of line so advance inlines into pop.
+//
+//go:noinline
+func (e *Engine) overLimit() {
+	panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v", e.EventLimit, e.now))
+}
+
+// peek reports the timestamp of the earliest pending non-daemon event.
+func (e *Engine) peek() (at Time, ok bool) {
 	if e.curIdx == len(e.cur) && !e.refill() {
+		return 0, false
+	}
+	return e.cur[e.curIdx].at, true
+}
+
+// Step fires the earliest pending event, daemon or not, advancing the
+// clock to its timestamp. It reports false when no events are pending. A
+// process resume runs synchronously: Step blocks until the process
+// pauses.
+func (e *Engine) Step() bool {
+	ladder := e.curIdx < len(e.cur) || e.refill()
+	switch {
+	case len(e.daemons) > 0 && (!ladder || eventCmp(e.daemons[0], e.cur[e.curIdx]) < 0):
+		e.exec(e.popDaemon())
+	case ladder:
+		e.exec(e.pop())
+	default:
 		return false
 	}
-	ev := e.pop()
+	return true
+}
+
+// exec fires one popped event outside the dispatch loop's fast path.
+func (e *Engine) exec(ev *event) {
 	// Recycle before firing: a callback that immediately reschedules
 	// (the dominant pattern on the flit path) reuses this same, cache-
 	// hot event object.
@@ -422,7 +503,6 @@ func (e *Engine) Step() bool {
 		e.release(ev)
 		afn(arg)
 	}
-	return true
 }
 
 // takeOwnEvent consumes the next pending event if and only if it is p's
@@ -447,18 +527,67 @@ func (e *Engine) takeOwnEvent(p *Proc) bool {
 }
 
 // runLimit is the shared Run/RunUntil core: fire events in order until
-// the horizon or queue is exhausted or Stop is called, then stop the
-// pooled coroutines. A process resume runs the process until it pauses;
-// while it runs, driving marks it so it may consume its own next
-// wake-up in place (takeOwnEvent).
+// the horizon or queue is exhausted, Stop is called, or the next event is
+// a daemon the run cannot justify (daemonStep), then stop the pooled
+// coroutines. A process resume runs the process until it pauses; while
+// it runs, driving marks it so it may consume its own next wake-up in
+// place (takeOwnEvent).
+//
+// The inner loop fires ladder events only, up to driveLimit: one tick
+// short of the earliest daemon within limit. Daemons are handled at that
+// boundary, one at a time, by daemonStep.
 func (e *Engine) runLimit(limit Time) {
 	e.stopped = false
-	e.driveLimit = limit
+	for {
+		e.driveLimit = limit
+		if len(e.daemons) > 0 && e.daemons[0].at <= limit {
+			e.driveLimit = e.daemons[0].at - 1
+		}
+		fired := e.fired
+		e.dispatch()
+		if e.fired != fired && e.now > e.dpermit {
+			e.dpermit = e.now
+		}
+		if e.stopped || !e.daemonStep(limit) {
+			break
+		}
+	}
+	e.drainRunners()
+}
+
+// daemonStep fires the next event when the earliest daemon is due within
+// limit: a non-daemon event at the daemon's instant with a lower seq, or
+// else the daemon itself — if a non-daemon event is still queued (it
+// fires at or after the daemon in this run) or the daemon is due at or
+// before dpermit. It reports false when there is nothing to fire: no
+// daemon due within limit, or one this engine cannot justify alone. A
+// Coordinator then holds the domain's frontier at that daemon and
+// decides at the barrier (see Coordinator.Run).
+func (e *Engine) daemonStep(limit Time) bool {
+	if len(e.daemons) == 0 || e.daemons[0].at > limit {
+		return false
+	}
+	if e.curIdx < len(e.cur) || e.refill() {
+		if eventCmp(e.cur[e.curIdx], e.daemons[0]) < 0 {
+			e.exec(e.pop())
+			e.dpermit = max(e.dpermit, e.now)
+			return true
+		}
+	} else if e.daemons[0].at > e.dpermit {
+		return false
+	}
+	e.exec(e.popDaemon())
+	return true
+}
+
+// dispatch is the hot loop: fire ladder events in order up to driveLimit,
+// until the ladder drains or Stop is called.
+func (e *Engine) dispatch() {
 	for !e.stopped {
 		if e.curIdx == len(e.cur) && !e.refill() {
 			break
 		}
-		if e.cur[e.curIdx].at > limit {
+		if e.cur[e.curIdx].at > e.driveLimit {
 			break
 		}
 		ev := e.pop()
@@ -479,7 +608,6 @@ func (e *Engine) runLimit(limit Time) {
 			afn(arg)
 		}
 	}
-	e.drainRunners()
 }
 
 // MaxTime is the largest schedulable virtual time (~107 days), used as
@@ -506,17 +634,24 @@ func SaturatingAdd(t, d Time) Time {
 	return t + d
 }
 
-// Run fires events until the queue drains or Stop is called.
-func (e *Engine) Run() { e.runLimit(MaxTime) }
+// Run fires events until no non-daemon event is left or Stop is called.
+// Daemons fire only up to T*, the time of the run's last non-daemon event
+// (see "Daemon timers" on Engine), so the clock ends at T*; with only
+// daemons queued, Run returns at once with the clock unchanged.
+func (e *Engine) Run() {
+	e.dpermit = -1
+	e.runLimit(MaxTime)
+}
 
-// RunUntil fires events with timestamps <= t, then sets the clock to t.
-// The boundary check peeks the refilled dispatch list directly, so each
-// event pays one ordering operation (its bucket's sort, amortized), not
-// a heap-peek plus a heap-pop.
+// RunUntil fires events with timestamps <= t, daemons included, then
+// sets the clock to t. The boundary check peeks the refilled dispatch
+// list directly, so each event pays one ordering operation (its bucket's
+// sort, amortized), not a heap-peek plus a heap-pop.
 func (e *Engine) RunUntil(t Time) {
 	if t > MaxTime {
 		t = MaxTime
 	}
+	e.dpermit = t
 	e.runLimit(t)
 	if !e.stopped && t > e.now {
 		e.now = t
@@ -527,16 +662,17 @@ func (e *Engine) RunUntil(t Time) {
 // at MaxTime (see SaturatingAdd).
 func (e *Engine) RunFor(d Time) { e.RunUntil(SaturatingAdd(e.now, d)) }
 
-// NextAt reports the timestamp of the earliest pending event; ok is
-// false when nothing is pending. Peeking may slide the ladder window
-// forward (the same refill Step would perform), which is observable only
-// through internal geometry, never through fire order. The shard
-// coordinator uses this to skip idle synchronization windows.
+// NextAt reports the timestamp of the earliest pending event, daemon or
+// not; ok is false when nothing is pending. Peeking may slide the ladder
+// window forward (the same refill Step would perform), which is
+// observable only through internal geometry, never through fire order.
+// The shard coordinator uses this to skip idle synchronization windows.
 func (e *Engine) NextAt() (at Time, ok bool) {
-	if e.curIdx == len(e.cur) && !e.refill() {
-		return 0, false
+	at, ok = e.peek()
+	if len(e.daemons) > 0 && (!ok || e.daemons[0].at < at) {
+		return e.daemons[0].at, true
 	}
-	return e.cur[e.curIdx].at, true
+	return at, ok
 }
 
 // Stop halts Run/RunUntil after the currently firing event returns.

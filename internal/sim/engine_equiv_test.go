@@ -156,7 +156,7 @@ func TestLadderMatchesHeapUnderRunUntil(t *testing.T) {
 	ref := &heapEngine{}
 	driveTrace(ref, 99, &gotH)
 
-	for until := 100 * Nanosecond; ladder.Pending() > 0 || len(ref.queue) > 0; until += 137 * Nanosecond {
+	for until := 100 * Nanosecond; ladder.pending() > 0 || len(ref.queue) > 0; until += 137 * Nanosecond {
 		ladder.RunUntil(until)
 		for len(ref.queue) > 0 && ref.queue[0].at <= until {
 			ref.Step()
@@ -388,7 +388,7 @@ func TestCoordinatorRunUntilBoundaries(t *testing.T) {
 		c.RunUntil(until)
 		idle := true
 		for d := 0; d < domains; d++ {
-			if c.Engine(d).Pending() > 0 {
+			if c.Engine(d).pending() > 0 {
 				idle = false
 				break
 			}

@@ -87,8 +87,8 @@ func TestEngineStopHaltsRun(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1 (Stop should halt)", fired)
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
+	if e.pending() != 1 {
+		t.Fatalf("Pending = %d, want 1", e.pending())
 	}
 }
 

@@ -147,8 +147,8 @@ func (c *Coordinator) Window() Time { return c.window }
 func (c *Coordinator) Engine(i int) *Engine { return c.engines[i] }
 
 // Now reports the coordinated clock: the horizon of the last RunUntil
-// or RunFor, or — after Run — the time of the last event fired in any
-// shard.
+// or RunFor, or — after Run — T*, the time of the last non-daemon event
+// fired in any shard.
 func (c *Coordinator) Now() Time { return c.now }
 
 // Windows reports the number of synchronization rounds run so far —
@@ -231,15 +231,14 @@ func sortBatches(b []Batch) {
 }
 
 // exchange drains every mailbox into its destination engine in the
-// canonical order and reports whether any message moved. Destinations
+// canonical order. Destinations
 // with no inbound traffic cost one emptiness scan; destinations fed by
 // a single source skip the merge scratch entirely (their own buffer is
 // sorted in place and bulk-injected). Buffers and the scratch are
 // recycled — steady state, a round performs zero heap allocations
 // (TestCoordinatorZeroAllocWindows pins this).
-func (c *Coordinator) exchange() bool {
+func (c *Coordinator) exchange() {
 	n := len(c.engines)
-	moved := false
 	for dst := 0; dst < n; dst++ {
 		var single *Mailbox
 		nonempty := 0
@@ -252,7 +251,6 @@ func (c *Coordinator) exchange() bool {
 		if nonempty == 0 {
 			continue
 		}
-		moved = true
 		if nonempty == 1 {
 			// Single-source fast path: no gather copy. Stable sort keeps
 			// send order on ties, exactly as the merge path would.
@@ -281,7 +279,6 @@ func (c *Coordinator) exchange() bool {
 		// capacity even when a later destination turns out empty.
 		c.merged = buf[:0]
 	}
-	return moved
 }
 
 // minFront reports the lowest shard frontier.
@@ -297,15 +294,25 @@ func (c *Coordinator) minFront() Time {
 
 // runWindows advances every shard to horizon t (inclusive), round by
 // round. When idle is true it additionally stops at the first barrier
-// where every engine is drained and no messages are in flight — the
-// multi-engine analogue of Engine.Run. A round runs each engine to its
-// limit without lifting its clock, so an engine's clock always reads
-// the last event it fired. runWindows reports false when a model
-// called Stop on any engine: that round's frontiers are not advanced
-// and its messages stay in their mailboxes, so the next run repeats
-// the same per-shard limits and resumes exactly where the Stop cut in.
+// where no non-daemon event is queued anywhere, no message is in flight
+// and no daemon is due at or before T* (see settle) — the multi-engine
+// analogue of Engine.Run. A round runs each engine to its limit without
+// lifting its clock, so an engine's clock always reads the last event
+// it fired. runWindows reports false when a model called Stop on any
+// engine: that round's frontiers are not advanced and its messages stay
+// in their mailboxes, so the next run repeats the same per-shard limits
+// and resumes exactly where the Stop cut in.
 func (c *Coordinator) runWindows(t Time, idle bool) bool {
 	n := len(c.engines)
+	// Run starts with no daemon justified yet; RunUntil fires every
+	// daemon up to its horizon.
+	permit := t
+	if idle {
+		permit = -1
+	}
+	for _, e := range c.engines {
+		e.dpermit = permit
+	}
 	par := !c.Sequential && coordParallel
 	if par {
 		c.startWorkers()
@@ -348,23 +355,20 @@ func (c *Coordinator) runWindows(t Time, idle bool) bool {
 				return false
 			}
 		}
-		for i := range c.front {
-			if f := SaturatingAdd(c.wlimits[i], 1); f > c.front[i] {
+		for i, e := range c.engines {
+			// A domain that stopped at a daemon it could not justify has
+			// fired nothing at or after it.
+			f := SaturatingAdd(c.wlimits[i], 1)
+			if len(e.daemons) > 0 && e.daemons[0].at < f {
+				f = e.daemons[0].at
+			}
+			if f > c.front[i] {
 				c.front[i] = f
 			}
 		}
-		moved := c.exchange()
-		if idle && !moved {
-			drained := true
-			for _, e := range c.engines {
-				if e.Pending() > 0 {
-					drained = false
-					break
-				}
-			}
-			if drained {
-				return true
-			}
+		c.exchange()
+		if idle && c.settle() {
+			return true
 		}
 		// Idle jump: if every shard's next event is beyond its frontier,
 		// skip every frontier straight to the earliest pending timestamp.
@@ -387,6 +391,31 @@ func (c *Coordinator) runWindows(t Time, idle bool) bool {
 		}
 	}
 	return true
+}
+
+// settle is Run's barrier decision, taken after the exchange. It lifts
+// every domain's daemon permit to the latest time a non-daemon event is
+// known to fire in this run — one already fired anywhere, or the head of
+// any domain's queue, which is bound to fire — and reports whether the
+// run is over: no non-daemon event queued anywhere (so no message in
+// flight either) and no daemon due at or before the permit, which is
+// then T*.
+func (c *Coordinator) settle() bool {
+	permit, busy := Time(-1), false
+	for _, e := range c.engines {
+		permit = max(permit, e.dpermit)
+		if at, ok := e.peek(); ok {
+			permit, busy = max(permit, at), true
+		}
+	}
+	due := false
+	for _, e := range c.engines {
+		e.dpermit = permit
+		if len(e.daemons) > 0 && e.daemons[0].at <= permit {
+			due = true
+		}
+	}
+	return !busy && !due
 }
 
 // latest reports the latest clock across the coordinator and its
@@ -432,11 +461,16 @@ func (c *Coordinator) RunUntil(t Time) {
 // MaxTime.
 func (c *Coordinator) RunFor(d Time) { c.RunUntil(SaturatingAdd(c.now, d)) }
 
-// Run advances the coordinated simulation until every shard's queue is
-// drained and no cross-shard messages are in flight, or until a model
-// calls Stop on any engine. When it drains, every engine's clock reads
-// the time of the last event fired in any shard — what a single engine
-// running the whole model would read.
+// Run advances the coordinated simulation until no non-daemon event is
+// queued in any shard and no cross-shard message is in flight, or until
+// a model calls Stop on any engine. Daemons follow Engine.Run's rule
+// across all domains: one due at t fires if and only if some non-daemon
+// event fires at a time >= t in any domain during the run. A domain
+// whose next event is a daemon it cannot justify from its own queue
+// stops its window there, holding its frontier, and the barrier decides
+// (settle). When the run ends, every engine's clock reads T*, the time
+// of the last non-daemon event fired in any shard — what a single
+// engine running the whole model would read.
 func (c *Coordinator) Run() {
 	if c.runWindows(MaxTime, true) {
 		c.align(c.latest())

@@ -172,7 +172,6 @@ type Heap struct {
 	pools []*pool
 	objs  map[uint64]*Obj
 	next  uint64
-	stop  bool
 
 	// Metrics.
 	Allocs     sim.Counter
@@ -210,27 +209,17 @@ func New(h *host.Host, cfg Config, specs ...PoolSpec) (*Heap, error) {
 		return hp.pools[i].spec.Class < hp.pools[j].spec.Class
 	})
 	if cfg.Epoch > 0 {
+		// A daemon timer: migration runs while the workload does and
+		// never keeps a Run alive by itself.
 		var tick func()
 		tick = func() {
-			if hp.stop {
-				return
-			}
 			hp.epoch()
-			// Keep ticking only while the simulation has other work:
-			// when the event queue is otherwise empty the run is over,
-			// and an eternal tick would keep the engine alive forever.
-			if hp.eng.Pending() == 0 {
-				return
-			}
-			hp.eng.After(cfg.Epoch, tick)
+			hp.eng.AfterDaemon(cfg.Epoch, tick)
 		}
-		hp.eng.After(cfg.Epoch, tick)
+		hp.eng.AfterDaemon(cfg.Epoch, tick)
 	}
 	return hp, nil
 }
-
-// Stop halts the migration runtime.
-func (hp *Heap) Stop() { hp.stop = true }
 
 // Alloc places an object of size bytes, preferring the fastest pool
 // with space (or the hinted class when given a valid hint).
