@@ -44,20 +44,22 @@ race:
 	$(GO) test -race ./...
 
 # shard-equiv is the parallel-determinism gate: the coordinator/mailbox
-# unit tests (daemon timers included), the cluster-level Stop,
+# unit tests (daemon timers included), the cut-link wire tests (link
+# messages handed between domain goroutines), the cluster-level Stop,
 # clock-after-Run, every-fault-kind injector, daemon-timer drain and
-# sharded coherence/etrans tests across shard counts, and the
-# serial-vs-sharded byte-identical-snapshot suite,
+# sharded coherence/etrans and arbiter tests across shard counts, and
+# the serial-vs-sharded byte-identical-snapshot suite,
 # run under the race detector with -count=1 so a cached pass never
 # masks a fresh data race in the window-barrier machinery. The sim leg
-# runs at -cpu 1,4 and the root and exp legs pin GOMAXPROCS=4, so the
-# worker-barrier path — and process coroutines resumed from worker
+# runs at -cpu 1,4 and the link, root and exp legs pin GOMAXPROCS=4, so
+# the worker-barrier path — and process coroutines resumed from worker
 # goroutines — actually run under the race detector even on a 1-CPU
 # runner (on a single-P runtime the coordinator falls back to
 # sequential execution).
 shard-equiv:
 	$(GO) test -race -count=1 -cpu 1,4 -run 'Coordinator|Mailbox|Window' ./internal/sim/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestClusterClock|TestClusterStop|TestClusterInjectorShardEquiv|TestClusterDaemonTimersDrain|TestClusterShardedCoherenceETrans' .
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSwitchPathDeliversWireImage|TestLinkRetryReleasesDescriptors' ./internal/link/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestClusterClock|TestClusterStop|TestClusterInjectorShardEquiv|TestClusterDaemonTimersDrain|TestClusterShardedCoherenceETrans|TestClusterShardedArbiter' .
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSharded' ./internal/exp/
 
 # fabstore-equiv gates the E11 macro-benchmark's determinism claim: the

@@ -480,3 +480,81 @@ func TestClusterShardedCoherenceETrans(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterShardedArbiter pins the arbiter in its home domain: eight
+// hosts on a four-switch ring reserve 2 KiB bulk writes against the
+// 4 KiB per-destination window, so grants queue, query the window, and
+// one host runs an arbitrated etrans migration. The stats snapshot,
+// arbiter counters included, must be byte-identical at Shards 1, 2 and
+// 4, with AIMD off and on.
+func TestClusterShardedArbiter(t *testing.T) {
+	for _, aimd := range []bool{false, true} {
+		t.Run(fmt.Sprintf("aimd=%v", aimd), func(t *testing.T) {
+			var ref []byte
+			for _, shards := range []int{1, 2, 4} {
+				c, err := New(Config{
+					Hosts: 8, FAMs: 2, FAMCapacity: 1 << 24, Shards: shards,
+					Agents: true, Arbiter: true,
+					Topology: &fabric.TopoSpec{Kind: fabric.TopoRing, Groups: 4},
+					ArbiterConfig: func() arbiter.Config {
+						ac := arbiter.DefaultConfig()
+						ac.AIMD, ac.MinWindow = aimd, 2048
+						return ac
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				guardEvents(c)
+				for hi, h := range c.Hosts {
+					cl, ep := c.ArbiterClient(h), h.Endpoint()
+					h.Engine().Go(h.Name()+"/bulk", func(p *sim.Proc) {
+						for k := 0; k < 16; k++ {
+							fam := c.FAMs[(hi+k)%2].ID()
+							addr := uint64(hi*16+k) * 2048
+							cl.WithReservationP(p, fam, 2048, func() {
+								ep.BulkWrite(fam, addr, 2048).MustAwait(p)
+							})
+							if k%4 == 3 {
+								cl.QueryP(p, fam)
+							}
+							p.Sleep(sim.Time(hi*53+k*11) * sim.Nanosecond)
+						}
+					})
+				}
+				for i := uint64(0); i < 8; i++ {
+					c.FAMs[0].DRAM().Store().Write64(0x800000+i*8, 7000+i)
+				}
+				h := c.Hosts[5]
+				et := c.NewETrans(h)
+				h.Engine().Go("etrans", func(p *sim.Proc) {
+					p.Sleep(3*sim.Microsecond + 29)
+					et.SubmitP(p, &etrans.Request{
+						Src: []etrans.Segment{{Port: c.FAMs[0].ID(), Addr: 0x800000, Size: 64}},
+						Dst: []etrans.Segment{{Port: c.FAMs[1].ID(), Addr: 0x900000, Size: 64}},
+					})
+				})
+				c.Run()
+				for i := uint64(0); i < 8; i++ {
+					if got := c.FAMs[1].DRAM().Store().Read64(0x900000 + i*8); got != 7000+i {
+						t.Fatalf("shards=%d: migrated word %d = %d, want %d", shards, i, got, 7000+i)
+					}
+				}
+				if q := c.Arbiter.Queued.Value(); q == 0 {
+					t.Fatalf("shards=%d: no grant queued; the window was never contended", shards)
+				}
+				raw, err := c.Stats().Snapshot().MarshalJSONIndent()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref = raw
+					continue
+				}
+				if !bytes.Equal(raw, ref) {
+					t.Errorf("shards=%d snapshot differs from one domain:\n%s", shards, firstDiff(ref, raw))
+				}
+			}
+		})
+	}
+}

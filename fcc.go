@@ -82,10 +82,10 @@ type Config struct {
 	// pod is still correct, only its lookahead is the narrower
 	// intra-pod propagation. Same-seed runs produce byte-identical stats
 	// snapshots at every shard count, faults scheduled through
-	// NewInjector or SchedulePlan included. Coherence directories and
-	// migration agents live in their home domains. The centralized
-	// services — Manager, Arbiter, TraceFlits — are single-engine
-	// designs and must stay off when Shards > 1.
+	// NewInjector or SchedulePlan included. Coherence directories,
+	// migration agents and the Arbiter live in their home domains. The
+	// Manager and TraceFlits are single-engine designs and must stay
+	// off when Shards > 1.
 	Shards int
 
 	// Hooks to override component defaults (nil = defaults).
@@ -93,7 +93,6 @@ type Config struct {
 	LinkConfig    func() link.Config
 	SwitchConfig  func() fabric.SwitchConfig
 	FAMConfig     func(i int, capacity uint64) mem.FAMConfig
-	FAAConfig     func(i int) faa.Config
 	ArbiterConfig func() arbiter.Config
 	ManagerConfig func() fabric.ManagerConfig
 }
@@ -178,8 +177,8 @@ func New(cfg Config) (*Cluster, error) {
 
 	shards := max(cfg.Shards, 1)
 	switch {
-	case shards > 1 && (cfg.Manager || cfg.Arbiter || cfg.TraceFlits > 0):
-		return nil, fmt.Errorf("fcc: Shards > 1 cannot host the centralized services (Manager/Arbiter/TraceFlits)")
+	case shards > 1 && (cfg.Manager || cfg.TraceFlits > 0):
+		return nil, fmt.Errorf("fcc: Shards > 1 cannot host the single-engine services (Manager/TraceFlits)")
 	case shards > nsw:
 		return nil, fmt.Errorf("fcc: %d shards need at least that many switches, have %d", shards, nsw)
 	}
@@ -238,11 +237,7 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		fc := faa.DefaultConfig()
-		if cfg.FAAConfig != nil {
-			fc = cfg.FAAConfig(i)
-		}
-		c.FAAs = append(c.FAAs, faa.New(att.Eng, att, fc))
+		c.FAAs = append(c.FAAs, faa.New(att.Eng, att, faa.DefaultConfig()))
 	}
 	if cfg.Agents {
 		for i := range c.FAMs {
@@ -262,7 +257,7 @@ func New(cfg Config) (*Cluster, error) {
 		if cfg.ArbiterConfig != nil {
 			ac = cfg.ArbiterConfig()
 		}
-		c.Arbiter = arbiter.New(eng, att, ac)
+		c.Arbiter = arbiter.New(att.Eng, att, ac)
 	}
 	if err := b.Discover(); err != nil {
 		return nil, err
@@ -372,9 +367,9 @@ func (c *Cluster) ArbiterClient(h *host.Host) *arbiter.Client {
 // keys, each client's hot-row path goes through the directories; with
 // the Arbiter attached, clients reserve bandwidth credit toward the
 // destination expander around writes and scan chunks. Both services are
-// optional (the Arbiter is refused on sharded clusters); without them
-// clients use the raw retried-transaction path, which is exactly what
-// the serial-vs-sharded equivalence experiment runs.
+// optional and work at every shard count; without them clients use the
+// raw retried-transaction path, which is exactly what the
+// serial-vs-sharded equivalence experiment runs.
 func (c *Cluster) NewFabStore(fcfg fabstore.Config) (*fabstore.Store, error) {
 	devs := make([]fabstore.Device, len(c.FAMs))
 	for i, f := range c.FAMs {

@@ -143,7 +143,8 @@ func TestClusterRejectsBadConfigs(t *testing.T) {
 	}{
 		{"zero-hosts", Config{}},
 		{"shards-above-switches", Config{Hosts: 1, FAMs: 1, Topology: line2, Shards: 3}},
-		{"sharded-arbiter", Config{Hosts: 1, FAMs: 1, Topology: line2, Shards: 2, Arbiter: true}},
+		{"sharded-manager", Config{Hosts: 1, FAMs: 1, Topology: line2, Shards: 2, Manager: true}},
+		{"sharded-traceflits", Config{Hosts: 1, FAMs: 1, Topology: line2, Shards: 2, TraceFlits: 64}},
 		{"invalid-topology", Config{Hosts: 1, FAMs: 1, Topology: &fabric.TopoSpec{Kind: fabric.TopoRing, Groups: 1}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

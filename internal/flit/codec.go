@@ -71,10 +71,11 @@ func (m Mode) WireBytesFor(payloadBytes uint32) int {
 
 // Flit is one flit as it travels the wire, in one of two forms. The
 // byte codec (Encode/Decode) fills Payload and CRC with the packet's
-// real wire bytes. A link moves descriptor flits instead: drawn from a
-// Pool, they carry only Seq, Last and Pkt — the packet every flit of it
-// points at — because credits, serialization time and hop latency
-// depend on flit counts and sizes, never on flit bytes.
+// real wire bytes. A link port's retry state holds descriptor flits
+// instead: drawn from the port's Pool, they carry only Seq, Last and
+// Pkt — the packet every flit of it points at — because credits,
+// serialization time and hop latency depend on flit counts and sizes,
+// never on flit bytes.
 type Flit struct {
 	Seq     uint32  // link-level sequence number (for replay)
 	Last    bool    // final flit of its packet
@@ -83,15 +84,15 @@ type Flit struct {
 	CRC     uint16  // codec flits: CRC-16/CCITT over Payload
 
 	// refs and next belong to the owning Pool: refs counts the holders
-	// (wire, replay buffer, rx stash) that must Release the flit before
-	// it recycles; next links the pool free list. While a flit sits in
-	// the free list refs holds the poolFree sentinel, so a stale
-	// holder's Release or Retain panics immediately instead of
+	// (replay buffer, retry queue, rx stash) that must Release the flit
+	// before it recycles; next links the pool free list. While a flit
+	// sits in the free list refs holds the poolFree sentinel, so a
+	// stale holder's Release or Retain panics immediately instead of
 	// double-inserting the flit (a silent free-list cycle). home
-	// remembers the pool that minted the flit: with per-side pools on
-	// cross-shard links, a flit released into a foreign pool would
-	// corrupt both free lists. Flits built by Encode leave all three
-	// zero and are garbage-collected.
+	// remembers the pool that minted the flit: with one pool per port,
+	// a flit released into a foreign pool would corrupt both free
+	// lists. Flits built by Encode leave all three zero and are
+	// garbage-collected.
 	refs int32
 	next *Flit
 	home *Pool

@@ -2,26 +2,23 @@ package flit
 
 import "fmt"
 
-// Pool recycles descriptor flits for one link (or one side of a
-// cross-shard link). The simulation engine fires one event at a time,
-// so the pool is deliberately a plain free list — no sync.Pool, whose
-// scheduler-dependent reuse order would leak nondeterminism into
-// allocation patterns (and whose per-P caches defeat the engine's
-// single-threaded locality anyway). Only the flits are pooled: the
-// packets they point at stay garbage-collected.
+// Pool recycles descriptor flits for one link port. The simulation
+// engine fires one event at a time, so the pool is deliberately a plain
+// free list — no sync.Pool, whose scheduler-dependent reuse order would
+// leak nondeterminism into allocation patterns (and whose per-P caches
+// defeat the engine's single-threaded locality anyway). Only the flits
+// are pooled: the packets they point at stay garbage-collected.
 //
 // Ownership is reference-counted because one flit can be held by two
-// parties at once in retry mode: the sender's replay buffer and the
-// wire or the receiver's reorder stash. Every holder calls Retain when
-// it files the flit and Release when it lets go; the last Release
-// recycles the flit. Release on a flit that never came from a pool is a
-// bug and panics.
+// parties at once: a port's replay buffer and its retry queue. Every
+// holder calls Retain when it files the flit and Release when it lets
+// go; the last Release recycles the flit. Release on a flit that never
+// came from a pool is a bug and panics. The zero Pool is empty and
+// ready to use; a link port embeds its own.
 type Pool struct {
 	free *Flit // recycled flits, LIFO for cache warmth
+	out  int   // minted by Get and not yet recycled
 }
-
-// NewPool returns an empty pool.
-func NewPool() *Pool { return &Pool{} }
 
 // Get returns a descriptor flit with refs=1, Seq 0, Last false and no
 // packet; the caller fills in Seq, Last and Pkt.
@@ -35,8 +32,13 @@ func (pl *Pool) Get() *Flit {
 		f.Seq, f.Last = 0, false
 	}
 	f.refs = 1
+	pl.out++
 	return f
 }
+
+// Outstanding reports the flits minted by Get and not yet recycled by
+// their last Release: zero once every holder has let go.
+func (pl *Pool) Outstanding() int { return pl.out }
 
 // poolFree marks a flit that currently sits in its pool's free list.
 // Using a sentinel instead of 0 lets Release and Retain distinguish "a
@@ -81,6 +83,7 @@ func (pl *Pool) Release(f *Flit) {
 		panic(fmt.Sprintf("flit: over-released flit seq=%d (refs=%d)", f.Seq, f.refs))
 	}
 	f.refs = poolFree
+	pl.out--
 	f.Pkt = nil
 	f.next = pl.free
 	pl.free = f

@@ -5,18 +5,19 @@ import (
 	"testing"
 )
 
-// TestPoolRefcount: two holders, two releases; the third panics.
+// TestPoolRefcount: two holders, two releases; the third panics. The
+// flit counts as outstanding until its last release.
 func TestPoolRefcount(t *testing.T) {
-	pl := NewPool()
+	pl := new(Pool)
 	f := pl.Get()
 	f.Retain()
 	pl.Release(f)
-	if pl.free != nil {
-		t.Fatal("flit recycled while a holder remained")
+	if pl.free != nil || pl.Outstanding() != 1 {
+		t.Fatalf("flit recycled while a holder remained (%d outstanding)", pl.Outstanding())
 	}
 	pl.Release(f)
-	if pl.free != f {
-		t.Fatal("flit not recycled after last release")
+	if pl.free != f || pl.Outstanding() != 0 {
+		t.Fatalf("flit not recycled after last release (%d outstanding)", pl.Outstanding())
 	}
 	g := pl.Get()
 	if g != f {
@@ -35,7 +36,7 @@ func TestPoolRefcount(t *testing.T) {
 // stale sequence number or last flag, and no packet pointer. The free
 // list must not pin the packet of the flit's previous life either.
 func TestPoolReuseIsClean(t *testing.T) {
-	pl := NewPool()
+	pl := new(Pool)
 	f := pl.Get()
 	f.Seq, f.Last, f.Pkt = 41, true, &Packet{Chan: ChMem, Op: OpMemWr, Size: 64}
 	pl.Release(f)
@@ -59,14 +60,14 @@ func TestPoolReleaseOfCodecFlitPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustPanic(t, "over-released", func() { NewPool().Release(flits[0]) })
+	mustPanic(t, "over-released", func() { new(Pool).Release(flits[0]) })
 }
 
 // TestPoolZeroAllocSteadyState: once warm, minting descriptors for a
 // packet and releasing them allocates nothing — the flits recycle, and
 // the packet they point at is never copied.
 func TestPoolZeroAllocSteadyState(t *testing.T) {
-	pl := NewPool()
+	pl := new(Pool)
 	p := &Packet{Chan: ChIO, Op: OpIOWr, Src: 1, Dst: 2, Size: 512, Data: make([]byte, 512)}
 	n := Mode68.FlitsFor(p.Size)
 	buf := make([]*Flit, 0, n)
@@ -108,7 +109,7 @@ func mustPanic(t *testing.T, want string, fn func()) {
 // next Get recycles it — after which the stale Release would
 // double-insert it and silently cycle the free list.
 func TestPoolDoubleReleasePanics(t *testing.T) {
-	pl := NewPool()
+	pl := new(Pool)
 	f := pl.Get()
 	pl.Release(f)
 	mustPanic(t, "double release", func() { pl.Release(f) })
@@ -119,7 +120,7 @@ func TestPoolDoubleReleasePanics(t *testing.T) {
 // list while another owner held it — exactly the free-list corruption
 // the refcount exists to prevent. It must panic at the retain.
 func TestPoolRetainAfterFreePanics(t *testing.T) {
-	pl := NewPool()
+	pl := new(Pool)
 	f := pl.Get()
 	pl.Release(f)
 	mustPanic(t, "use after free", func() { f.Retain() })
@@ -129,8 +130,8 @@ func TestPoolRetainAfterFreePanics(t *testing.T) {
 // links, releasing a flit into a pool that did not mint it would
 // corrupt both free lists.
 func TestPoolForeignReleasePanics(t *testing.T) {
-	a := NewPool()
-	b := NewPool()
+	a := new(Pool)
+	b := new(Pool)
 	f := a.Get()
 	mustPanic(t, "foreign pool", func() { b.Release(f) })
 }
@@ -138,7 +139,7 @@ func TestPoolForeignReleasePanics(t *testing.T) {
 // TestPoolRecycledFlitIsReusable: the poolFree sentinel must be fully
 // reversible — a recycled flit handed out again behaves like new.
 func TestPoolRecycledFlitIsReusable(t *testing.T) {
-	pl := NewPool()
+	pl := new(Pool)
 	f := pl.Get()
 	pl.Release(f)
 	g := pl.Get()

@@ -1,11 +1,13 @@
 package link
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
 	"fcc/internal/flit"
+	"fcc/internal/sim"
 	"fcc/internal/telemetry"
 )
 
@@ -112,5 +114,99 @@ func TestLinkReassemblyPanicsOnResizedPacket(t *testing.T) {
 	})
 	if msg := panicText(eng.Run); !strings.Contains(msg, "reassembly") {
 		t.Fatalf("resized packet delivered without complaint (panic %q)", msg)
+	}
+}
+
+// TestLinkWireMintsNoDescriptors: flits cross the wire as values, so a
+// link without retry mints no descriptor, not even mid-transfer with
+// flits serializing and propagating in both directions.
+func TestLinkWireMintsNoDescriptors(t *testing.T) {
+	eng, l, sa, sb := testLink(t, nil)
+	for i := 0; i < 8; i++ {
+		l.A().Send(memPacket(uint16(i), MaxPacketPayload))
+		l.B().Send(memPacket(uint16(i), 64))
+	}
+	eng.RunUntil(20 * sim.Nanosecond)
+	for _, p := range []*Port{l.A(), l.B()} {
+		if inFlight := p.FlitsTx.Value() - p.peer.FlitsRx.Value(); inFlight == 0 || !p.sending {
+			t.Fatalf("%s: %d flits on the wire, sending=%v: nothing is mid-transfer", p.name, inFlight, p.sending)
+		}
+		if n := p.pool.Outstanding(); n != 0 {
+			t.Fatalf("%s: %d descriptors outstanding mid-transfer, want 0", p.name, n)
+		}
+	}
+	eng.Run()
+	if len(sa.got) != 8 || len(sb.got) != 8 {
+		t.Fatalf("delivered %d and %d packets, want 8 each way", len(sa.got), len(sb.got))
+	}
+}
+
+// checkRetryStateDrained fails unless a quiescent retrying port holds
+// no flit in its replay buffer, retry queue or reorder stash, and every
+// descriptor its pool minted has been recycled.
+func checkRetryStateDrained(t *testing.T, p *Port) {
+	t.Helper()
+	for i := 0; i < flit.NumChannels; i++ {
+		vc := flit.Channel(i)
+		if r, q, s := p.ReplayBufferLen(vc), len(p.retryq[vc]), p.RxStashLen(vc); r+q+s != 0 {
+			t.Errorf("%s %v: replay %d, retry queue %d, stash %d after the run, want all 0", p.name, vc, r, q, s)
+		}
+	}
+	if n := p.pool.Outstanding(); n != 0 {
+		t.Errorf("%s: %d descriptors outstanding after the run, want 0", p.name, n)
+	}
+	if p.CRCErrors.Value() == 0 || p.peer.Retransmits.Value() == 0 {
+		t.Errorf("%s: %d CRC errors, %d peer retransmits: the retry path went untested",
+			p.name, p.CRCErrors.Value(), p.peer.Retransmits.Value())
+	}
+}
+
+// TestLinkRetryReleasesDescriptors: a retrying link under bit errors,
+// with traffic both ways, ends with all retry state empty and every
+// descriptor back in its port's pool, whether both ports share an
+// engine or the link is cut between two domains.
+func TestLinkRetryReleasesDescriptors(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RetryEnabled = true
+	cfg.Phys.BER = 0.05
+	for _, cut := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cut=%v", cut), func(t *testing.T) {
+			var l *Link
+			var err error
+			var engA, engB *sim.Engine
+			var run func()
+			if cut {
+				co := sim.NewCoordinator(2, cfg.Phys.Propagation)
+				engA, engB, run = co.Engine(0), co.Engine(1), co.Run
+				l, err = NewCross("retry", cfg, engA, engB, co.Mailbox(0, 1), co.Mailbox(1, 0))
+			} else {
+				engA = sim.NewEngine()
+				engB, run = engA, engA.Run
+				l, err = New(engA, "retry", cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			sa, sb := &autoRelease{}, &autoRelease{}
+			l.A().SetSink(sa)
+			l.B().SetSink(sb)
+			for _, side := range []struct {
+				eng *sim.Engine
+				p   *Port
+			}{{engA, l.A()}, {engB, l.B()}} {
+				side.eng.Go("send", func(pr *sim.Proc) {
+					for i := 0; i < 200; i++ {
+						side.p.Send(memPacket(uint16(i), uint32(i*37)%(MaxPacketPayload+1)))
+						pr.Sleep(sim.Time(i%7) * sim.Nanosecond)
+					}
+				})
+			}
+			run()
+			if len(sa.got) != 200 || len(sb.got) != 200 {
+				t.Fatalf("delivered %d and %d packets, want 200 each way", len(sa.got), len(sb.got))
+			}
+			checkRetryStateDrained(t, l.A())
+			checkRetryStateDrained(t, l.B())
+		})
 	}
 }

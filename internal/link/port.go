@@ -12,23 +12,33 @@ import (
 type Link struct {
 	name string
 	a, b *Port
+	msgs msgPool
 }
 
-// New creates a link. Sinks are attached to the ports afterwards with
-// SetSink; packets sent on A arrive at B's sink and vice versa.
+// New creates a link whose two ports run on one engine. Sinks are
+// attached to the ports afterwards with SetSink; packets sent on A
+// arrive at B's sink and vice versa.
 func New(eng *sim.Engine, name string, cfg Config) (*Link, error) {
+	at2 := eng.At2 // one method value serves both ports
+	l, err := newLink(name, cfg, eng, eng, at2, at2)
+	if err != nil {
+		return nil, err
+	}
+	l.a.msgs, l.b.msgs = &l.msgs, &l.msgs
+	return l, nil
+}
+
+// newLink builds both ports, without a message free list (see
+// msgPool). postA and postB schedule a message from A to B and from B
+// to A.
+func newLink(name string, cfg Config, engA, engB *sim.Engine, postA, postB func(sim.Time, func(any), any)) (*Link, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Both directions share one flit pool: the engine fires one event at
-	// a time, so a plain free list is race-free, and sharing halves the
-	// warm-up footprint (a flit released by B's receiver is immediately
-	// reusable by A's transmitter).
-	pool := flit.NewPool()
 	l := &Link{
 		name: name,
-		a:    newPort(eng, name+".A", cfg, pool),
-		b:    newPort(eng, name+".B", cfg, pool),
+		a:    newPort(engA, name+".A", cfg, postA),
+		b:    newPort(engB, name+".B", cfg, postB),
 	}
 	l.a.peer, l.b.peer = l.b, l.a
 	return l, nil
@@ -43,11 +53,10 @@ func (l *Link) A() *Port { return l.a }
 // B returns the second endpoint.
 func (l *Link) B() *Port { return l.b }
 
-// txPacket is a packet queued for transmission, flit by flit: n
-// descriptor flits numbered from seq, of which next have gone out. The
-// transmitter mints each flit from the pool as it goes onto the wire.
-// Instances are recycled through the port's free list, so a
-// steady-state Send performs no allocation.
+// txPacket is a packet queued for transmission, flit by flit: n flits
+// numbered from seq, of which next have gone out. Instances are
+// recycled through the port's free list, so a steady-state Send
+// performs no allocation.
 type txPacket struct {
 	pkt  *flit.Packet
 	seq  uint32
@@ -57,91 +66,108 @@ type txPacket struct {
 	free *txPacket
 }
 
-// linkMsg is the pooled argument block for the port's closure-free
-// scheduled events: serialization completion, flit delivery, ack/nak,
-// and credit return all travel through the engine as (static fn, *linkMsg)
-// pairs instead of per-event closures, so the wire hot path allocates
-// nothing in steady state.
-type linkMsg struct {
-	p    *Port
+// wireFlit is one flit as the wire carries it: its values, not a
+// descriptor. Only retry state holds flits over time, and it files
+// them as descriptors from the holding port's pool.
+type wireFlit struct {
 	vc   flit.Channel
-	f    *flit.Flit
 	seq  uint32
+	last bool
+	pkt  *flit.Packet
+}
+
+// linkMsg is the argument block of every peer-bound message — flit
+// delivery, ack, nak and credit return — so the wire travels as
+// (static fn, *linkMsg) pairs instead of per-event closures. p is the
+// destination port.
+type linkMsg struct {
+	p *Port
+	wireFlit
 	n    int
 	next *linkMsg
 }
 
+// msgPool is the message free list the two ports of a same-engine link
+// share, so the wire hot path allocates nothing in steady state. A cut
+// link has none: its messages are handled on the other domain's
+// goroutine, and recycling them into the receiver's list would grow it
+// without bound on a one-way stream.
+type msgPool struct{ free *linkMsg }
+
 func (p *Port) getMsg() *linkMsg {
-	m := p.msgFree
-	if m == nil {
-		return &linkMsg{p: p}
+	if p.msgs == nil || p.msgs.free == nil {
+		return &linkMsg{}
 	}
-	p.msgFree = m.next
-	m.next = nil
+	m := p.msgs.free
+	p.msgs.free = m.next
 	return m
 }
 
-// putMsg recycles a message block, dropping its flit pointer so a parked
-// free-list entry never pins a flit.
+// putMsg recycles a handled message, dropping its packet pointer so a
+// parked free-list entry never pins a packet.
 func (p *Port) putMsg(m *linkMsg) {
-	m.f = nil
-	m.next = p.msgFree
-	p.msgFree = m
+	if p.msgs == nil {
+		return
+	}
+	m.pkt = nil
+	m.next = p.msgs.free
+	p.msgs.free = m
 }
 
-// serDone fires when the last bit of a flit has left the transmitter:
-// free the wire, launch the flit toward the peer, refill, and continue.
-// The delivery event is scheduled before DrainHook/kick run so the event
-// sequence numbers (and therefore same-seed ordering) match the previous
-// closure-based implementation exactly.
+// send hands a message to the peer after the given wire delay. It is
+// the one path every peer-bound message takes; on a cut link every
+// delay is at least one propagation, the coordinator's lookahead.
+func (p *Port) send(delay sim.Time, fn func(any), m *linkMsg) {
+	m.p = p.peer
+	p.post(sim.SaturatingAdd(p.eng.Now(), delay), fn, m)
+}
+
+// serDone fires when the last bit of the in-flight flit, whose values
+// sit on the port while sending is true, has left the transmitter:
+// launch it toward the peer, free the wire, refill, and continue.
 func serDone(a any) {
-	m := a.(*linkMsg)
-	p, vc, f := m.p, m.vc, m.f
-	p.putMsg(m)
+	p := a.(*Port)
 	p.sending = false
-	if p.xmb != nil {
-		p.sendRemoteFlit(vc, f)
-	} else {
-		dm := p.getMsg()
-		dm.vc, dm.f = vc, f
-		p.eng.After2(p.cfg.Phys.Propagation, deliverFlit, dm)
-	}
+	m := p.getMsg()
+	m.wireFlit = p.tx
+	p.tx.pkt = nil // an idle port pins no packet
+	p.send(p.cfg.Phys.Propagation, deliverFlit, m)
 	if p.DrainHook != nil {
 		p.DrainHook()
 	}
 	p.kick()
 }
 
-// deliverFlit lands a flit at the peer after the propagation delay.
+// deliverFlit lands a flit at the destination port.
 func deliverFlit(a any) {
 	m := a.(*linkMsg)
-	p, vc, f := m.p, m.vc, m.f
+	p, w := m.p, m.wireFlit
 	p.putMsg(m)
-	p.peer.receiveFlit(vc, f)
+	p.receiveFlit(w)
 }
 
-// sendAck delivers a link-layer ack to the peer transmitter.
-func sendAck(a any) {
+// ackFlit delivers a link-layer ack to the destination transmitter.
+func ackFlit(a any) {
 	m := a.(*linkMsg)
 	p, vc, seq := m.p, m.vc, m.seq
 	p.putMsg(m)
-	p.peer.handleAck(vc, seq)
+	p.handleAck(vc, seq)
 }
 
-// sendNak delivers a link-layer nak (retransmit request) to the peer.
-func sendNak(a any) {
+// nakFlit delivers a link-layer nak (retransmit request).
+func nakFlit(a any) {
 	m := a.(*linkMsg)
 	p, vc, seq := m.p, m.vc, m.seq
 	p.putMsg(m)
-	p.peer.handleNak(vc, seq)
+	p.handleNak(vc, seq)
 }
 
-// returnCredits hands freed receive-buffer credits back to the peer.
+// returnCredits hands freed receive-buffer credits to the transmitter.
 func returnCredits(a any) {
 	m := a.(*linkMsg)
 	p, vc, n := m.p, m.vc, m.n
 	p.putMsg(m)
-	p.peer.addCredits(vc, n)
+	p.addCredits(vc, n)
 }
 
 // Port is one directionful endpoint of a link: it transmits packets
@@ -153,11 +179,14 @@ type Port struct {
 	peer *Port
 	sink Sink
 	rng  *sim.RNG
-	pool *flit.Pool // shared with peer (intra-shard) or private (cross-shard)
-	// xmb, when non-nil, marks this port as one side of a cross-shard
-	// link: peer-touching wire messages go through the mailbox instead
-	// of being scheduled directly on the peer's engine (see xlink.go).
-	xmb *sim.Mailbox
+	// post schedules a message on the peer's engine at an absolute
+	// time: Engine.At2 when both ports share an engine, the cut link's
+	// Mailbox.Send otherwise.
+	post func(at sim.Time, fn func(any), arg any)
+	msgs *msgPool // the link's shared free list; nil on a cut link
+	// pool mints the descriptors retry state holds: the replay buffer,
+	// the retry queue and the reorder stash.
+	pool flit.Pool
 
 	// Transmit state. txq is consumed from txqHead rather than resliced
 	// so the backing array is reused; it compacts when the dead prefix
@@ -168,6 +197,7 @@ type Port struct {
 	credits  [flit.NumChannels]int
 	shared   int
 	sending  bool
+	tx       wireFlit // the in-flight flit while sending
 	lockedVC int
 	sched    Scheduler
 	vcSeq    [flit.NumChannels]uint32
@@ -175,7 +205,6 @@ type Port struct {
 
 	// Free lists and scratch for the allocation-free hot path.
 	txpFree *txPacket
-	msgFree *linkMsg
 	relFree *pktRelease
 	viewBuf [flit.NumChannels]VCView
 
@@ -228,12 +257,12 @@ type Port struct {
 	QueueLat    *sim.Histogram
 }
 
-func newPort(eng *sim.Engine, name string, cfg Config, pool *flit.Pool) *Port {
+func newPort(eng *sim.Engine, name string, cfg Config, post func(sim.Time, func(any), any)) *Port {
 	p := &Port{
 		eng:      eng,
 		name:     name,
 		cfg:      cfg,
-		pool:     pool,
+		post:     post,
 		lockedVC: -1,
 		laneDiv:  1,
 		rng:      sim.NewRNG(cfg.Seed ^ 0xfabc),
@@ -500,22 +529,35 @@ func (p *Port) kick() {
 	}
 	p.stalled = false // relieved before (or at) the confirm check: no stall
 	vc := flit.Channel(idx)
-	var f *flit.Flit
 	if len(p.retryq[vc]) > 0 {
-		f = p.retryq[vc][0]
+		f := p.retryq[vc][0]
 		p.retryq[vc] = p.retryq[vc][1:]
 		p.Retransmits.Inc()
 		p.trace(telemetry.EvRetransmit, vc, f.Seq)
+		p.tx = wireFlit{vc: vc, seq: f.Seq, last: f.Last, pkt: f.Pkt}
+		// The replay buffer normally still holds the flit, and the retry
+		// queue's reference ends here. If the ack arrived while the flit
+		// sat in the queue, the entry was released, and the queue's
+		// reference files it again.
+		if _, ok := p.replay[vc][f.Seq]; ok {
+			p.pool.Release(f)
+		} else {
+			p.replay[vc][f.Seq] = f
+		}
 	} else {
 		h := p.txqHead[vc]
 		tp := p.txq[vc][h]
-		f = p.pool.Get()
-		f.Seq, f.Pkt = tp.seq+uint32(tp.next), tp.pkt
+		seq := tp.seq + uint32(tp.next)
 		p.consumeCredit(vc)
-		p.tracePkt(telemetry.EvFlitTx, vc, f.Seq, tp.pkt)
+		p.tracePkt(telemetry.EvFlitTx, vc, seq, tp.pkt)
 		tp.next++
-		f.Last = tp.next == tp.n
-		if f.Last {
+		p.tx = wireFlit{vc: vc, seq: seq, last: tp.next == tp.n, pkt: tp.pkt}
+		if p.cfg.RetryEnabled {
+			f := p.pool.Get()
+			f.Seq, f.Last, f.Pkt = p.tx.seq, p.tx.last, p.tx.pkt
+			p.replay[vc][seq] = f
+		}
+		if p.tx.last {
 			p.txq[vc][h] = nil
 			h++
 			p.txqHead[vc] = h
@@ -535,113 +577,89 @@ func (p *Port) kick() {
 			p.lockedVC = idx
 		}
 	}
-	if p.cfg.RetryEnabled {
-		// The replay buffer is its own holder. A fresh send files the
-		// flit for the first time (retain); a retransmit normally finds
-		// its entry still present — unless the ack arrived while the
-		// flit sat in the retry queue, in which case the entry was
-		// released and must be re-retained.
-		if _, ok := p.replay[vc][f.Seq]; !ok {
-			f.Retain()
-		}
-		p.replay[vc][f.Seq] = f
-	}
 	p.sending = true
 	p.FlitsTx.Inc()
 	ser := p.cfg.Phys.SerTime(p.cfg.Mode.WireBytes()) * sim.Time(p.laneDiv)
-	m := p.getMsg()
-	m.vc, m.f = vc, f
-	p.eng.After2(ser, serDone, m)
+	p.eng.After2(ser, serDone, p)
 }
 
 // receiveFlit handles one arriving flit: error injection, selective
 // repeat reordering, reassembly, and delivery.
-func (p *Port) receiveFlit(vc flit.Channel, f *flit.Flit) {
+func (p *Port) receiveFlit(w wireFlit) {
+	vc := w.vc
 	p.FlitsRx.Inc()
-	p.trace(telemetry.EvFlitRx, vc, f.Seq)
+	p.trace(telemetry.EvFlitRx, vc, w.seq)
 	if p.cfg.RetryEnabled {
-		corrupted := p.cfg.Phys.BER > 0 && p.rng.Float64() < p.cfg.Phys.BER
-		if corrupted {
+		m := p.getMsg()
+		m.vc, m.seq = vc, w.seq
+		if p.cfg.Phys.BER > 0 && p.rng.Float64() < p.cfg.Phys.BER {
 			p.CRCErrors.Inc()
-			p.trace(telemetry.EvCRCError, vc, f.Seq)
-			if p.xmb != nil {
-				p.remote(p.cfg.Phys.Propagation, xNak, &xMsg{vc: vc, seq: f.Seq})
-			} else {
-				m := p.getMsg()
-				m.vc, m.seq = vc, f.Seq
-				p.eng.After2(p.cfg.Phys.Propagation, sendNak, m)
-			}
-			p.pool.Release(f) // wire copy discarded; sender's replay holds it
+			p.trace(telemetry.EvCRCError, vc, w.seq)
+			p.send(p.cfg.Phys.Propagation, nakFlit, m)
 			return
 		}
-		if p.xmb != nil {
-			p.remote(p.cfg.Phys.Propagation, xAck, &xMsg{vc: vc, seq: f.Seq})
-		} else {
-			m := p.getMsg()
-			m.vc, m.seq = vc, f.Seq
-			p.eng.After2(p.cfg.Phys.Propagation, sendAck, m)
-		}
-		if f.Seq != p.rxExpect[vc] {
-			if f.Seq-p.rxExpect[vc] >= 1<<31 {
+		p.send(p.cfg.Phys.Propagation, ackFlit, m)
+		if w.seq != p.rxExpect[vc] {
+			if w.seq-p.rxExpect[vc] >= 1<<31 {
 				// Stale retransmission of a flit already delivered (its
 				// ack was lost or raced a NAK). Re-acking above is all
 				// it needs; stashing it would leak the slot and deliver
 				// the flit a second time when the sequence space wraps.
 				p.DupFlits.Inc()
-				p.trace(telemetry.EvDupDrop, vc, f.Seq)
-				p.pool.Release(f)
+				p.trace(telemetry.EvDupDrop, vc, w.seq)
 				return
 			}
-			if _, dup := p.rxStash[vc][f.Seq]; dup {
-				// Original and retransmit both in flight: the stash
-				// already holds this flit; drop the extra wire reference.
-				p.pool.Release(f)
-			} else {
-				p.rxStash[vc][f.Seq] = f // stash inherits the wire reference
+			// With original and retransmit both in flight, the stash
+			// may already hold this flit.
+			if _, dup := p.rxStash[vc][w.seq]; !dup {
+				f := p.pool.Get()
+				f.Seq, f.Last, f.Pkt = w.seq, w.last, w.pkt
+				p.rxStash[vc][w.seq] = f
 			}
 			return
 		}
-		p.acceptFlit(vc, f)
+		p.acceptFlit(w)
 		for {
-			nf, ok := p.rxStash[vc][p.rxExpect[vc]]
+			f, ok := p.rxStash[vc][p.rxExpect[vc]]
 			if !ok {
 				break
 			}
-			delete(p.rxStash[vc], p.rxExpect[vc])
-			p.acceptFlit(vc, nf)
+			delete(p.rxStash[vc], f.Seq)
+			next := wireFlit{vc: vc, seq: f.Seq, last: f.Last, pkt: f.Pkt}
+			p.pool.Release(f)
+			p.acceptFlit(next)
 		}
 		return
 	}
-	p.acceptFlit(vc, f)
+	p.acceptFlit(w)
 }
 
 // acceptFlit takes an in-order flit into its VC's receive buffer and,
-// on a packet's last flit, delivers the packet the flits point at. The
-// flit itself is done once counted. Reassembly stays checked: the count
-// must be exactly what the packet's Size needs, so a sender that
-// resized a packet after sending it fails here, loudly.
-func (p *Port) acceptFlit(vc flit.Channel, f *flit.Flit) {
-	seq, last, pkt := f.Seq, f.Last, f.Pkt
-	p.pool.Release(f)
-	p.rxExpect[vc] = seq + 1
+// on a packet's last flit, delivers the packet the flits point at.
+// Reassembly stays checked: the count must be exactly what the
+// packet's Size needs, so a sender that resized a packet after sending
+// it fails here, loudly.
+func (p *Port) acceptFlit(w wireFlit) {
+	vc := w.vc
+	p.rxExpect[vc] = w.seq + 1
 	p.rxUsed[vc]++
 	p.rxN[vc]++
-	if !last {
+	if !w.last {
 		return
 	}
 	n := p.rxN[vc]
 	p.rxN[vc] = 0
-	if want := p.cfg.Mode.FlitsFor(pkt.Size); n != want {
-		panic(fmt.Sprintf("link %s: reassembly on %v: %d flits for %v, want %d", p.name, vc, n, pkt, want))
+	if want := p.cfg.Mode.FlitsFor(w.pkt.Size); n != want {
+		panic(fmt.Sprintf("link %s: reassembly on %v: %d flits for %v, want %d", p.name, vc, n, w.pkt, want))
 	}
 	p.PktsRx.Inc()
-	p.tracePkt(telemetry.EvPktDeliver, vc, seq+1-uint32(n), pkt)
+	p.tracePkt(telemetry.EvPktDeliver, vc, w.seq+1-uint32(n), w.pkt)
 	if p.sink == nil {
 		panic("link " + p.name + ": packet arrived with no sink attached")
 	}
 	r := p.getRelease()
 	r.vc, r.n = vc, n
-	p.sink.Arrive(pkt, r.fn)
+	p.sink.Arrive(w.pkt, r.fn)
 }
 
 // pktRelease is the pooled credit-release record handed to the sink with
@@ -686,13 +704,9 @@ func (r *pktRelease) release() {
 		ret -= swallow
 	}
 	if ret > 0 {
-		if p.xmb != nil {
-			p.remote(p.cfg.CreditReturnDelay+p.cfg.Phys.Propagation, xCredits, &xMsg{vc: vc, n: ret})
-		} else {
-			m := p.getMsg()
-			m.vc, m.n = vc, ret
-			p.eng.After2(p.cfg.CreditReturnDelay+p.cfg.Phys.Propagation, returnCredits, m)
-		}
+		m := p.getMsg()
+		m.vc, m.n = vc, ret
+		p.send(p.cfg.CreditReturnDelay+p.cfg.Phys.Propagation, returnCredits, m)
 	}
 	r.next = p.relFree
 	p.relFree = r
@@ -752,13 +766,9 @@ func (p *Port) SetRxBuf(vc flit.Channel, n int) {
 			grant -= cancel
 		}
 		if grant > 0 {
-			if p.xmb != nil {
-				p.remote(p.cfg.Phys.Propagation, xCredits, &xMsg{vc: vc, n: grant})
-			} else {
-				m := p.getMsg()
-				m.vc, m.n = vc, grant
-				p.eng.After2(p.cfg.Phys.Propagation, returnCredits, m)
-			}
+			m := p.getMsg()
+			m.vc, m.n = vc, grant
+			p.send(p.cfg.Phys.Propagation, returnCredits, m)
 		}
 	case delta < 0:
 		p.rxDebt[vc] += -delta

@@ -11,7 +11,7 @@ import (
 	"fcc/internal/sim"
 )
 
-// The link moves descriptor flits and hands the receiver the very
+// The link moves flits as values and hands the receiver the very
 // packet that was sent; the byte codec is never on the path. These
 // tests keep the two honest against each other: whatever a packet goes
 // through — one link, a retrying link that drops flits, a two-switch
